@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify lint reprolint graphlint lint-changed typecheck smoke test sanitize-smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke
 
-verify: lint graphlint typecheck smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke
+verify: lint graphlint typecheck smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke sanitize-smoke
 
 lint: reprolint
 	@if command -v ruff >/dev/null 2>&1; then \

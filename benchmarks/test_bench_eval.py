@@ -25,7 +25,7 @@ from conftest import write_bench_json, write_result
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import RankingEvaluator
 from repro.eval.sharded import sharded_evaluate
-from repro.parallel.executor import ProcessExecutor, SerialExecutor
+from repro.parallel.executor import ProcessMap, SerialMap
 
 N_USERS = 2048
 N_ITEMS = 1200
@@ -114,8 +114,8 @@ def test_sharded_matches_serial_exactly(eval_problem):
     train, test, scorer = eval_problem
     ev = RankingEvaluator(train, test, k=20)
     serial = ev.evaluate(scorer)
-    sharded_ref = sharded_evaluate(ev, scorer, num_shards=4, executor=SerialExecutor())
-    with ProcessExecutor(max_workers=2) as pool:
+    sharded_ref = sharded_evaluate(ev, scorer, num_shards=4, executor=SerialMap())
+    with ProcessMap(max_workers=2) as pool:
         sharded = sharded_evaluate(ev, scorer, num_shards=4, executor=pool)
     assert sharded_ref == serial
     assert sharded == serial

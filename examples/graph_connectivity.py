@@ -17,7 +17,11 @@ This example measures that on the OOI-like CKG:
 import numpy as np
 
 from repro import KnowledgeSources, load_dataset
-from repro.kg import connectivity_summary, hop_reachability, item_distance_histogram
+from repro.kg.graph_analysis import (
+    connectivity_summary,
+    hop_reachability,
+    item_distance_histogram,
+)
 from repro.kg.paths import explain_recommendation
 
 

@@ -6,7 +6,6 @@ and the top K of the remainder are compared against the held-out test items.
 """
 
 from repro.eval.evaluator import EvaluationResult, PerUserMetrics, RankingEvaluator
-from repro.eval.loo import LOOResult, evaluate_loo, leave_one_out_split
 from repro.eval.metrics import (
     average_precision_at_k,
     hit_at_k,
@@ -39,7 +38,4 @@ __all__ = [
     "paired_bootstrap_test",
     "per_user_metrics",
     "PairedTestResult",
-    "LOOResult",
-    "evaluate_loo",
-    "leave_one_out_split",
 ]

@@ -8,7 +8,7 @@ worker process, and merges by concatenating the per-user metric vectors in
 shard order.  Because every evaluator step is row-wise (see
 :mod:`repro.eval.evaluator`), the concatenated vectors are identical to a
 single serial pass, so the reduced means are **bit-identical** to the
-:class:`~repro.parallel.executor.SerialExecutor` reference — the same
+:class:`~repro.parallel.executor.SerialMap` reference — the same
 serial-is-the-reference discipline the sharded propagation path follows.
 
 Workers cannot share a live model, so scoring is handed off through a
@@ -28,7 +28,7 @@ import numpy as np
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import EvaluationResult, PerUserMetrics, RankingEvaluator
 from repro.io.checkpoints import load_parameters
-from repro.parallel.executor import MapExecutor, SerialExecutor, chunk_indices
+from repro.parallel.executor import MapExecutor, SerialMap, chunk_indices
 from repro.pipeline import DatasetRef
 from repro.utils.telemetry import RunLogger
 
@@ -156,7 +156,7 @@ def sharded_evaluate(
     num_shards:
         Number of contiguous user shards (typically the worker count).
     executor:
-        Backend; defaults to :class:`SerialExecutor`, the reference the
+        Backend; defaults to :class:`SerialMap`, the reference the
         parallel result is guaranteed to match exactly.
     users:
         Optional explicit user subset (validated like
@@ -182,7 +182,7 @@ def sharded_evaluate(
     all_users = evaluator._resolve_users(users)
     if all_users.size == 0:
         raise ValueError("no users to evaluate")
-    executor = executor or SerialExecutor()
+    executor = executor or SerialMap()
     shards = [
         EvalShard(
             train=None if dataset_ref is not None else evaluator.train,

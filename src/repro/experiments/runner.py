@@ -38,7 +38,7 @@ from repro.models import (
 )
 from repro.io.checkpoints import normalize_checkpoint_path
 from repro.models.base import FitConfig
-from repro.parallel.executor import MapExecutor, ProcessExecutor, SerialExecutor
+from repro.parallel.executor import MapExecutor, ProcessMap, SerialMap
 from repro.utils.telemetry import RunLogger
 
 __all__ = [
@@ -277,7 +277,7 @@ class CellSpec:
 
     A cell is one (model × dataset × variant) train→evaluate run — the unit
     the paper's Tables II–V are made of.  Cells share nothing at runtime, so
-    they can fan out across a :class:`~repro.parallel.executor.ProcessExecutor`.
+    they can fan out across a :class:`~repro.parallel.executor.ProcessMap`.
 
     ``dataset`` is preferably a lightweight
     :class:`~repro.pipeline.DatasetRef` — the worker materializes the stages
@@ -347,8 +347,8 @@ def run_cells(
         The cells to run.
     executor:
         Explicit backend.  When ``None``, ``num_workers > 1`` selects a
-        :class:`ProcessExecutor` (closed after the run); anything else falls
-        back to the :class:`SerialExecutor` reference.
+        :class:`ProcessMap` (closed after the run); anything else falls
+        back to the :class:`SerialMap` reference.
     num_workers:
         Convenience worker count used only when ``executor`` is ``None``.
 
@@ -360,6 +360,6 @@ def run_cells(
     if executor is not None:
         return list(zip(specs, executor.map(run_cell, specs)))
     if num_workers > 1:
-        with ProcessExecutor(max_workers=num_workers) as pool:
+        with ProcessMap(max_workers=num_workers) as pool:
             return list(zip(specs, pool.map(run_cell, specs)))
-    return list(zip(specs, SerialExecutor().map(run_cell, specs)))
+    return list(zip(specs, SerialMap().map(run_cell, specs)))

@@ -10,7 +10,7 @@ The benchmark (`benchmarks/test_bench_scale.py`) runs this module in a
 *subprocess* so the reported ``ru_maxrss`` is the high-water mark of exactly
 this pipeline, not of whatever the host process touched earlier.  For the
 same reason evaluation runs in-process on the
-:class:`~repro.parallel.executor.SerialExecutor` — farming shards to worker
+:class:`~repro.parallel.executor.SerialMap` — farming shards to worker
 processes would move their memory out of the measured budget.
 
 The OOI-style catalog is reused with the site count scaled up: the paper's

@@ -21,12 +21,6 @@ Modules
 
 from repro.kg.adjacency import CSRAdjacency, sample_fixed_neighbors
 from repro.kg.ckg import CollaborativeKnowledgeGraph, build_ckg
-from repro.kg.graph_analysis import (
-    connectivity_summary,
-    hop_reachability,
-    item_distance_histogram,
-    to_networkx,
-)
 from repro.kg.multi import MultiFacilityIndex, build_cross_facility_ckg
 from repro.kg.paths import RelationPath, explain_recommendation, find_paths
 from repro.kg.prepared import PreparedGraph
@@ -53,8 +47,4 @@ __all__ = [
     "RelationPath",
     "find_paths",
     "explain_recommendation",
-    "to_networkx",
-    "connectivity_summary",
-    "hop_reachability",
-    "item_distance_histogram",
 ]

@@ -228,8 +228,7 @@ def build_weighted_adjacency(adj: CSRAdjacency, edge_weights: np.ndarray):
 
     Used by the frozen-attention fast path: propagation's neighbor sum is
     then ``A @ embeddings``.  Delegates to
-    :func:`repro.kernels.dispatch.build_weighted_csr`, which uses
-    ``scipy.sparse`` when importable and the pure-NumPy CSR fallback
-    otherwise — scipy is no longer a hard dependency of this path.
+    :func:`repro.kernels.dispatch.build_weighted_csr`, which builds a
+    ``scipy.sparse`` CSR matrix.
     """
     return dispatch.build_weighted_csr(adj, edge_weights)

@@ -16,14 +16,14 @@ point of these modules is to make the partitioned *algorithm* testable —
 shard-combined results must equal the monolithic ones bit-for-bit.
 """
 
-from repro.parallel.executor import MapExecutor, ProcessExecutor, SerialExecutor
+from repro.parallel.executor import MapExecutor, ProcessMap, SerialMap
 from repro.parallel.partition import EdgePartition, partition_edges
 from repro.parallel.sharded import sharded_segment_sum, sharded_propagation_step
 
 __all__ = [
     "MapExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
+    "SerialMap",
+    "ProcessMap",
     "EdgePartition",
     "partition_edges",
     "sharded_segment_sum",

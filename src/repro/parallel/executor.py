@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["MapExecutor", "SerialExecutor", "ProcessExecutor", "chunk_indices"]
+__all__ = ["MapExecutor", "SerialMap", "ProcessMap", "chunk_indices"]
 
 logger = logging.getLogger(__name__)
 
@@ -50,14 +50,14 @@ class MapExecutor:
         """Release worker resources (no-op for serial)."""
 
 
-class SerialExecutor(MapExecutor):
+class SerialMap(MapExecutor):
     """Reference backend: a plain loop."""
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         return [fn(item) for item in items]
 
 
-class ProcessExecutor(MapExecutor):
+class ProcessMap(MapExecutor):
     """Process-pool backend (requires picklable ``fn`` and items).
 
     ``max_workers`` defaults to the available CPU count; on single-core

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.parallel.executor import MapExecutor, SerialExecutor
+from repro.parallel.executor import MapExecutor, SerialMap
 from repro.parallel.partition import EdgePartition
 
 __all__ = ["sharded_segment_sum", "sharded_propagation_step"]
@@ -62,7 +62,7 @@ def sharded_segment_sum(
         raise ValueError("heads, tails and weights must have equal length")
     if edge_chunk is not None and edge_chunk <= 0:
         raise ValueError(f"edge_chunk must be positive, got {edge_chunk}")
-    executor = executor or SerialExecutor()
+    executor = executor or SerialMap()
     num_entities = embeddings.shape[0]
     tasks = []
     for shard in range(partition.num_shards):

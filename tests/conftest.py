@@ -4,6 +4,15 @@ Session-scoped where construction is expensive; tests must not mutate these
 (fixtures that need mutation build their own copies).
 """
 
+import os
+
+# Tests must not depend on the caller's environment: drop every ambient
+# REPRO_* setting (cache dir, kernel backend, sanitizer) before ``repro`` is
+# imported, since ``repro/__init__`` reads REPRO_SANITIZE at import time.
+# Tests that need one set it themselves with ``monkeypatch.setenv``.
+for _name in [n for n in os.environ if n.startswith("REPRO_")]:
+    del os.environ[_name]
+
 import numpy as np
 import pytest
 

@@ -1,4 +1,4 @@
-"""Failure-aware ProcessExecutor tests: retry, pool restart, in-process fallback.
+"""Failure-aware ProcessMap tests: retry, pool restart, in-process fallback.
 
 The worker functions fail only when executed in a *worker* process (pid
 differs from the pid baked into the item), so the in-process fallback
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.eval import RankingEvaluator, sharded_evaluate
-from repro.parallel.executor import ProcessExecutor, SerialExecutor
+from repro.parallel.executor import ProcessMap, SerialMap
 
 
 def _double(x):
@@ -56,26 +56,26 @@ class _CrashyScorer:
 class TestWorkerExceptionRecovery:
     def test_single_bad_item_falls_back(self):
         items = [(os.getpid(), x) for x in range(6)]
-        with ProcessExecutor(max_workers=2) as pool:
+        with ProcessMap(max_workers=2) as pool:
             out = pool.map(_raise_for_three_in_worker, items)
             assert pool.failure_count >= 1
         assert out == [x * 2 for x in range(6)]
 
     def test_all_items_fall_back_to_serial_result(self):
         items = [(os.getpid(), x) for x in range(4)]
-        with ProcessExecutor(max_workers=2) as pool:
+        with ProcessMap(max_workers=2) as pool:
             out = pool.map(_raise_in_worker, items)
-        assert out == SerialExecutor().map(_raise_in_worker, items)
+        assert out == SerialMap().map(_raise_in_worker, items)
 
     def test_deterministic_failure_still_propagates(self):
         """A function that fails everywhere (including in-process) raises."""
 
-        with ProcessExecutor(max_workers=2) as pool:
+        with ProcessMap(max_workers=2) as pool:
             with pytest.raises(ValueError):
                 pool.map(_always_raise, [1])
 
     def test_healthy_map_unaffected(self):
-        with ProcessExecutor(max_workers=2) as pool:
+        with ProcessMap(max_workers=2) as pool:
             assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
             assert pool.failure_count == 0
 
@@ -88,14 +88,14 @@ class TestWorkerCrashRecovery:
     def test_hard_crash_restarts_pool_and_falls_back(self):
         """os._exit in a worker breaks the pool; map must still return."""
         items = [(os.getpid(), x) for x in range(3)]
-        with ProcessExecutor(max_workers=2) as pool:
+        with ProcessMap(max_workers=2) as pool:
             out = pool.map(_exit_in_worker, items)
             assert pool.failure_count >= 1
         assert out == [x * 2 for x in range(3)]
 
     def test_pool_usable_after_crash(self):
         items = [(os.getpid(), 1)]
-        with ProcessExecutor(max_workers=2) as pool:
+        with ProcessMap(max_workers=2) as pool:
             pool.map(_exit_in_worker, items)
             # The replaced pool must handle healthy work again.
             assert pool.map(_double, [5]) == [10]
@@ -107,8 +107,8 @@ class TestShardedEvalSurvivesWorkerFailure:
         rng = np.random.default_rng(0)
         table = rng.normal(size=(ooi_split.train.num_users, ooi_split.train.num_items))
         scorer = _CrashyScorer(table, os.getpid())
-        reference = sharded_evaluate(ev, scorer, num_shards=3, executor=SerialExecutor())
-        with ProcessExecutor(max_workers=2) as pool:
+        reference = sharded_evaluate(ev, scorer, num_shards=3, executor=SerialMap())
+        with ProcessMap(max_workers=2) as pool:
             survived = sharded_evaluate(ev, scorer, num_shards=3, executor=pool)
             assert pool.failure_count >= 1
         assert survived.recall == reference.recall

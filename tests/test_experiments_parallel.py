@@ -9,7 +9,7 @@ import pytest
 from repro.experiments.datasets import load_dataset
 from repro.experiments.runner import CellSpec, _run_slug, run_cell, run_cells
 from repro.experiments.tables import table2
-from repro.parallel.executor import SerialExecutor
+from repro.parallel.executor import SerialMap
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ class TestRunCells:
             CellSpec(label=f"s{seed}", model="BPRMF", dataset=small_ooi, epochs=1, seed=seed)
             for seed in (0, 1)
         ]
-        out = run_cells(specs, executor=SerialExecutor())
+        out = run_cells(specs, executor=SerialMap())
         assert [spec.label for spec, _ in out] == ["s0", "s1"]
 
     def test_process_fanout_identical_to_serial(self, small_ooi):
@@ -60,7 +60,7 @@ class TestRunCells:
             CellSpec(label="a", model="BPRMF", dataset=small_ooi, epochs=1, seed=0),
             CellSpec(label="b", model="BPRMF", dataset=small_ooi, epochs=1, seed=1),
         ]
-        serial = run_cells(specs, executor=SerialExecutor())
+        serial = run_cells(specs, executor=SerialMap())
         parallel = run_cells(specs, num_workers=2)
         for (_, s), (_, p) in zip(serial, parallel):
             assert s.recall == p.recall

@@ -15,7 +15,7 @@ from repro.analysis import profiler, sanitizer
 from repro.autograd import Parameter, Tensor, functional as F, gradcheck, no_grad
 from repro.data.interactions import InteractionDataset
 from repro.eval.evaluator import RankingEvaluator
-from repro.kernels import dispatch, numba_backend, numpy_backend
+from repro.kernels import dispatch, numpy_backend
 from repro.kg.adjacency import CSRAdjacency
 from repro.kg.triples import TripleStore
 from repro.models import CKAT, CKATConfig
@@ -70,23 +70,20 @@ def _dense(grad):
 
 # ---------------------------------------------------------------- dispatch
 class TestBackendDispatch:
-    def test_available_backends_without_numba(self):
-        names = dispatch.available_backends()
-        assert "numpy" in names and "oracle" in names
-        if not numba_backend.AVAILABLE:
-            assert "numba" not in names
-
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setattr(dispatch, "_backend", None)
         monkeypatch.setenv(dispatch.ENV_VAR, "auto")
-        expected = "numba" if numba_backend.AVAILABLE else "numpy"
-        assert dispatch.get_backend() == expected
+        assert dispatch.get_backend() == "numpy"
         monkeypatch.setattr(dispatch, "_backend", None)
         monkeypatch.setenv(dispatch.ENV_VAR, "off")
         assert dispatch.get_backend() == "oracle"
         monkeypatch.setattr(dispatch, "_backend", None)
         monkeypatch.setenv(dispatch.ENV_VAR, "bogus")
         with pytest.raises(ValueError, match="bogus"):
+            dispatch.get_backend()
+        monkeypatch.setattr(dispatch, "_backend", None)
+        monkeypatch.setenv(dispatch.ENV_VAR, "numba")
+        with pytest.raises(ValueError, match="unrecognized"):
             dispatch.get_backend()
 
     def test_kernel_backend_restores(self):
@@ -95,18 +92,6 @@ class TestBackendDispatch:
             assert dispatch.get_backend() == "oracle"
             assert not dispatch.fused_enabled()
         assert dispatch.get_backend() == before
-
-    def test_numba_request_fails_loudly_when_absent(self):
-        if numba_backend.AVAILABLE:
-            pytest.skip("numba importable here; the guard cannot fire")
-        with pytest.raises(ValueError, match="numba"):
-            dispatch.set_backend("numba")
-
-    def test_numba_backend_stub_raises(self):
-        if numba_backend.AVAILABLE:
-            pytest.skip("numba importable here; stubs replaced by jits")
-        with pytest.raises(RuntimeError, match="numba"):
-            numba_backend.edge_attention_scores(None, None, None, None, None, None)
 
 
 # ---------------------------------------------------------------- gradcheck
@@ -445,38 +430,16 @@ class TestMaskedTopkValidCounts:
             )
 
 
-# ------------------------------------------------------- scipy-free fallback
-class TestWeightedCSRFallback:
-    def test_pure_csr_matches_dense(self, small_adj):
+# ------------------------------------------------- frozen-attention adjacency
+class TestWeightedCSR:
+    def test_matches_dense(self, small_adj):
         rng = np.random.default_rng(31)
         w = rng.standard_normal(small_adj.num_edges)
         dense = np.zeros((6, 6))
         np.add.at(dense, (small_adj.heads, small_adj.tails), w)
-        default = dispatch.build_weighted_csr(small_adj, w)
-        pure = numpy_backend.build_pure_csr(
-            small_adj.heads, small_adj.tails, w, (6, 6)
-        )
-        x = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(default @ x, dense @ x, rtol=1e-12)
-        np.testing.assert_allclose(pure @ x, dense @ x, rtol=1e-12)
-
-    def test_fallback_used_when_scipy_missing(self, small_adj, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def no_scipy(name, *args, **kwargs):
-            if name.startswith("scipy"):
-                raise ImportError("scipy disabled for this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_scipy)
-        w = np.linspace(0.1, 1.0, small_adj.num_edges)
         matrix = dispatch.build_weighted_csr(small_adj, w)
-        assert isinstance(matrix, numpy_backend.PureCSR)
-        dense = np.zeros((6, 6))
-        np.add.at(dense, (small_adj.heads, small_adj.tails), w)
-        np.testing.assert_allclose(matrix @ np.eye(6), dense, rtol=1e-12)
+        x = rng.standard_normal((6, 4))
+        np.testing.assert_allclose(matrix @ x, dense @ x, rtol=1e-12)
 
 
 # -------------------------------------------------------- segment reductions

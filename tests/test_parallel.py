@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from repro.kg.triples import TripleStore
 from repro.parallel import (
-    SerialExecutor,
+    SerialMap,
     partition_edges,
     sharded_propagation_step,
     sharded_segment_sum,
 )
-from repro.parallel.executor import ProcessExecutor, chunk_indices
+from repro.parallel.executor import ProcessMap, chunk_indices
 
 
 def _triple(x):
@@ -78,22 +78,22 @@ class TestChunkIndices:
 
 class TestExecutors:
     def test_serial_map(self):
-        ex = SerialExecutor()
+        ex = SerialMap()
         assert ex.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
 
     def test_serial_preserves_order(self):
-        ex = SerialExecutor()
+        ex = SerialMap()
         assert ex.map(str, range(5)) == ["0", "1", "2", "3", "4"]
 
     def test_process_executor_validation(self):
         with pytest.raises(ValueError):
-            ProcessExecutor(max_workers=0)
+            ProcessMap(max_workers=0)
 
     def test_process_executor_round_trip_preserves_order(self):
         items = list(range(40))
-        with ProcessExecutor(max_workers=2) as pool:
+        with ProcessMap(max_workers=2) as pool:
             out = pool.map(_triple, items)
-        assert out == SerialExecutor().map(_triple, items)
+        assert out == SerialMap().map(_triple, items)
         assert out == [3 * i for i in items]
 
     def test_process_executor_matches_serial_on_eval_shard_merge(self):
@@ -117,8 +117,8 @@ class TestExecutors:
         )
         scorer = _TableScorer(rng.normal(size=(n_users, n_items)))
         ev = RankingEvaluator(train, test, k=5)
-        reference = sharded_evaluate(ev, scorer, num_shards=3, executor=SerialExecutor())
-        with ProcessExecutor(max_workers=2) as pool:
+        reference = sharded_evaluate(ev, scorer, num_shards=3, executor=SerialMap())
+        with ProcessMap(max_workers=2) as pool:
             parallel = sharded_evaluate(ev, scorer, num_shards=3, executor=pool)
         assert parallel == reference
         assert reference == ev.evaluate(scorer)

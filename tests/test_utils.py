@@ -1,6 +1,4 @@
-"""Tests for repro.utils: rng plumbing, text tables, timer, validation."""
-
-import time
+"""Tests for repro.utils: rng plumbing, text tables, validation."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from repro.utils import (
     SeedSequenceFactory,
     TextTable,
-    Timer,
     check_in_choices,
     check_positive,
     check_probability,
@@ -131,34 +128,6 @@ class TestTextTable:
         t = TextTable(["a"])
         t.add_row([1])
         assert str(t) == t.render()
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t.section("work"):
-            time.sleep(0.01)
-        with t.section("work"):
-            time.sleep(0.01)
-        assert t.total("work") >= 0.02
-        assert t.count("work") == 2
-
-    def test_unknown_section_zero(self):
-        t = Timer()
-        assert t.total("nope") == 0.0
-        assert t.count("nope") == 0
-
-    def test_names(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        assert t.names() == ["a"]
-
-    def test_summary_mentions_sections(self):
-        t = Timer()
-        with t.section("phase1"):
-            pass
-        assert "phase1" in t.summary()
 
 
 class TestValidation:
