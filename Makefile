@@ -5,9 +5,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint reprolint graphlint lint-changed typecheck smoke test sanitize-smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke
+.PHONY: verify lint reprolint lint-changed typecheck smoke test sanitize-smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke
 
-verify: lint graphlint typecheck smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke sanitize-smoke
+verify: lint typecheck smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke sanitize-smoke
 
 lint: reprolint
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -18,20 +18,18 @@ lint: reprolint
 		echo "warning: ruff not installed; skipping ruff lint"; \
 	fi
 
+# Every rule (lexical RPL001-010/015 and interprocedural RPL011-014) in one
+# pass: one parse per file, and the content-hash result cache
+# (.reprolint-cache.json) makes repeat runs incremental. No baseline file
+# is used: new findings fail immediately.
 reprolint:
 	$(PYTHON) -m repro.cli lint src
 
-# Interprocedural graph rules (RPL011-RPL014) over the whole tree; the
-# content-hash summary cache makes repeat runs incremental. The baseline
-# ratchet file is kept empty on purpose: new findings fail immediately.
-graphlint:
-	$(PYTHON) -m repro.cli lint --graph --select RPL011,RPL012,RPL013,RPL014 src
-
-# Lexical + graph rules, reported only for files changed vs main (plus
-# untracked files). Graph analysis still sees the whole tree — summaries for
-# unchanged files come from the warm cache, so this stays fast.
+# Every rule, reported only for files changed vs main (plus untracked
+# files). The graph rules still see the whole tree — results for unchanged
+# files come from the warm cache, so this stays fast.
 lint-changed:
-	$(PYTHON) -m repro.cli lint --graph --changed-since main src
+	$(PYTHON) -m repro.cli lint --changed-since main src
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \

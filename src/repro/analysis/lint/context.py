@@ -4,9 +4,10 @@
 walks one module's AST:
 
 - the (posix-normalized) file path and the :class:`LintConfig` path policy;
-- an import-alias table mapping local names to dotted module paths, so rules
-  match **fully-qualified** targets (``numpy.random.default_rng``,
-  ``time.time``) regardless of how the file spelled the import;
+- the import-alias table (:func:`collect_aliases`, shared with the graph
+  summaries) mapping local names to dotted module paths, so rules match
+  **fully-qualified** targets (``numpy.random.default_rng``, ``time.time``)
+  regardless of how the file spelled the import;
 - the lexical stacks the engine maintains during the walk (enclosing
   functions/classes, ``with no_grad():`` nesting depth);
 - the findings accumulator.
@@ -23,23 +24,25 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.lint.findings import Finding
 
-__all__ = ["LintConfig", "LintContext", "DEFAULT_CONFIG"]
+__all__ = ["LintConfig", "LintContext", "DEFAULT_CONFIG", "collect_aliases", "resolve_qualname"]
 
 
 @dataclasses.dataclass(frozen=True)
 class LintConfig:
-    """Path policy and rule selection for one lint run.
+    """Path policy and rule selection for one lint run (all rule codes).
 
     Path fields are substring matches against the posix-normalized file path;
-    an empty tuple disables the corresponding gate.
+    an empty tuple disables the corresponding gate.  Module fields are
+    dotted-module prefixes.
     """
 
     select: Optional[FrozenSet[str]] = None
-    """Rule codes to run; ``None`` runs every registered rule."""
+    """Rule codes to report; ``None`` reports every rule."""
 
     exempt_paths: Tuple[str, ...] = ("tests/", "fixtures/", "conftest")
-    """Paths where the randomness rules (RPL001/RPL002) do not apply: test
-    and fixture code may pin seeds or use throwaway generators freely."""
+    """Test and fixture paths: the randomness rules (RPL001/RPL002), the
+    funnel rules (RPL009/RPL010/RPL015) and every graph rule skip them —
+    test code may pin seeds, block or persist however it likes."""
 
     dtype_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/")
     """Paths on the float32-sensitive fast path where RPL004 requires every
@@ -67,13 +70,34 @@ class LintConfig:
     (which own step scheduling, sharded reconciliation and checkpointed
     optimizer state); auxiliary phases use the engine's step callable."""
 
-    kernel_consumer_paths: Tuple[str, ...] = ("models/", "eval/", "serving/")
-    """Paths consuming the fused kernels, where RPL010 requires every
-    ``repro.kernels`` import to name ``dispatch`` — backend selection and
-    the oracle fallback live there, and raw backend imports silently bypass
-    both.  ``serving/`` scores every
-    request through the same funnel, so its ranking stays bit-identical to
-    offline evaluation across backends."""
+    funnel_consumer_paths: Tuple[str, ...] = ("models/", "eval/", "serving/")
+    """Layers that must stay behind the funnels.  RPL010 requires every
+    ``repro.kernels`` import here to name ``dispatch`` — backend selection
+    and the oracle fallback live there, and raw backend imports silently
+    bypass both; RPL014 follows call paths from here into raw kernel
+    backends or the ``np.save`` family.  ``serving/`` scores every request
+    through the same funnel, so its ranking stays bit-identical to offline
+    evaluation across backends."""
+
+    taint_sink_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/", "serving/")
+    """RPL011: functions defined here are determinism-sensitive sinks — an
+    unseeded RNG argument reaching them is a violation."""
+
+    dtype_sink_paths: Tuple[str, ...] = ("models/", "autograd/", "eval/", "kernels/dispatch")
+    """RPL012: calls into functions defined here are checked for mixed
+    float64/float32 arguments."""
+
+    async_paths: Tuple[str, ...] = ("serving/",)
+    """RPL013: ``async def`` functions here are handlers; blocking work they
+    reach is reported at the last call site inside these paths."""
+
+    funnel_modules: Tuple[str, ...] = ("repro.io", "repro.store", "repro.kernels.dispatch")
+    """RPL014: sanctioned funnel modules (dotted-module prefixes) — escape
+    propagation stops here."""
+
+    kernel_backend_modules: Tuple[str, ...] = ("repro.kernels.numpy_backend",)
+    """RPL014: raw kernel implementations (dotted-module prefixes); calling
+    these directly bypasses backend selection and the oracle fallback."""
 
 
 DEFAULT_CONFIG = LintConfig()
@@ -86,13 +110,12 @@ def _matches(path: str, needles: Tuple[str, ...]) -> bool:
 class LintContext:
     """Mutable per-file state handed to every rule invocation."""
 
-    def __init__(self, path: str, tree: ast.AST, config: LintConfig = DEFAULT_CONFIG):
+    def __init__(self, path: str, aliases: Dict[str, str], config: LintConfig = DEFAULT_CONFIG):
         self.path = path.replace("\\", "/")
         self.config = config
         self.findings: List[Finding] = []
-        #: local name -> dotted path, e.g. {"np": "numpy",
-        #: "default_rng": "numpy.random.default_rng", "dt": "datetime.datetime"}
-        self.aliases: Dict[str, str] = {}
+        #: local name -> dotted path (see :func:`collect_aliases`)
+        self.aliases = aliases
         #: lexical stacks, maintained by the engine's walker
         self.function_stack: List[ast.AST] = []
         self.class_stack: List[ast.ClassDef] = []
@@ -100,7 +123,6 @@ class LintContext:
         #: ids of Call.func nodes, so attribute rules can skip expressions
         #: already examined as call targets (avoids double reports).
         self.call_func_ids: Set[int] = set()
-        self._collect_imports(tree)
 
     # ----------------------------------------------------------- path policy
     @property
@@ -124,8 +146,8 @@ class LintContext:
         return _matches(self.path, self.config.persistence_paths)
 
     @property
-    def in_kernel_consumer_path(self) -> bool:
-        return _matches(self.path, self.config.kernel_consumer_paths)
+    def in_funnel_consumer_path(self) -> bool:
+        return _matches(self.path, self.config.funnel_consumer_paths)
 
     @property
     def in_optimizer_funnel_path(self) -> bool:
@@ -164,37 +186,52 @@ class LintContext:
         )
 
     # ------------------------------------------------------- name resolution
-    def _collect_imports(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-                    # ``import numpy.random`` binds "numpy" but also makes the
-                    # full dotted path resolvable through it; the attribute
-                    # walk in qualname() covers that case.
-            elif isinstance(node, ast.ImportFrom):
-                if node.level or node.module is None:
-                    continue  # relative imports cannot be external modules
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-
     def qualname(self, node: ast.AST) -> Optional[str]:
-        """Resolve an expression to a dotted path via the import table.
+        """Resolve an expression to a dotted path (see :func:`resolve_qualname`)."""
+        return resolve_qualname(node, self.aliases)
 
-        ``np.random.default_rng`` → ``"numpy.random.default_rng"`` when the
-        file did ``import numpy as np``; returns ``None`` for expressions
-        whose root is not an imported name.
-        """
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        root = self.aliases.get(node.id)
-        if root is None:
-            return None
-        parts.append(root)
-        return ".".join(reversed(parts))
+
+def collect_aliases(tree: ast.AST) -> Dict[str, str]:
+    """Map each imported local name to its dotted path.
+
+    ``{"np": "numpy", "default_rng": "numpy.random.default_rng",
+    "dt": "datetime.datetime"}``.  ``import numpy.random`` binds ``numpy``;
+    the attribute walk in :func:`resolve_qualname` makes the full dotted path
+    resolvable through it.  Relative imports are skipped: they cannot name
+    external modules.
+    """
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    aliases[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or node.module is None:
+                continue
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def resolve_qualname(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    """Resolve an expression to a dotted path via an import-alias table.
+
+    ``np.random.default_rng`` → ``"numpy.random.default_rng"`` when the
+    file did ``import numpy as np``; returns ``None`` for expressions whose
+    root is not an imported name.
+    """
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    root = aliases.get(node.id)
+    if root is None:
+        return None
+    parts.append(root)
+    return ".".join(reversed(parts))

@@ -1,9 +1,11 @@
-"""Interprocedural graph analysis for reprolint.
+"""Interprocedural analysis for reprolint.
 
-Where :mod:`repro.analysis.lint` rules are per-file and lexical, this package
-builds one analysis artifact for the whole linted tree — a module/call graph
-with abstract dataflow summaries per function — and runs four rule families
-over it:
+The lint engine (:func:`repro.analysis.lint.run_lint`) parses each file
+once; from that tree this package's :func:`summarize_module` builds the
+file's function summaries, and :class:`ProgramGraph` stitches every file's
+summary into one analysis artifact for the whole linted tree — a
+module/call graph with abstract dataflow — over which four rule families
+run:
 
 - **RPL011** determinism taint: an unseeded RNG value flowing (through
   calls, returns, and default arguments) into model/autograd/eval/serving
@@ -19,10 +21,11 @@ over it:
   kernel backends or the ``np.save`` family that bypass the
   dispatch/store/io funnels through helpers.
 
-Function summaries are cached by file content hash (see
-:mod:`~repro.analysis.lint.graph.cache`), so warm runs skip parsing
-unchanged files entirely.  Entry point: :func:`run_graph_lint`; CLI:
-``repro lint --graph``.
+Summaries are cached together with each file's lexical findings by file
+content hash (see :mod:`~repro.analysis.lint.graph.cache`), so warm runs
+skip parsing unchanged files entirely.  The baseline ratchet
+(:mod:`~repro.analysis.lint.graph.baseline`) backs ``repro lint
+--baseline``.
 """
 
 from repro.analysis.lint.graph.baseline import (
@@ -32,26 +35,14 @@ from repro.analysis.lint.graph.baseline import (
     write_baseline,
 )
 from repro.analysis.lint.graph.cache import SummaryCache
-from repro.analysis.lint.graph.engine import (
-    DEFAULT_GRAPH_CONFIG,
-    GraphConfig,
-    GraphLintReport,
-    graph_codes,
-    run_graph_lint,
-)
 from repro.analysis.lint.graph.program import ProgramGraph
 from repro.analysis.lint.graph.summary import SUMMARY_VERSION, summarize_module
 
 __all__ = [
-    "GraphConfig",
-    "DEFAULT_GRAPH_CONFIG",
-    "GraphLintReport",
     "ProgramGraph",
     "SummaryCache",
     "SUMMARY_VERSION",
     "BASELINE_SCHEMA_VERSION",
-    "run_graph_lint",
-    "graph_codes",
     "summarize_module",
     "load_baseline",
     "apply_baseline",

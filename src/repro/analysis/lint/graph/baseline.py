@@ -1,4 +1,4 @@
-"""Baseline ratchet for graph-lint findings.
+"""Baseline ratchet for lint findings (``repro lint --baseline``).
 
 A baseline file freezes the currently-known findings so CI fails only on
 *new* ones: existing debt is tolerated, growing it is not, and fixing a

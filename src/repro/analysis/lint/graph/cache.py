@@ -1,17 +1,23 @@
-"""Content-addressed cache of per-module summaries.
+"""Content-addressed cache of per-file lint results.
 
-Graph lint's cost is dominated by parsing + summarizing every file; the
-analysis over the finished summaries is cheap.  The cache stores one JSON
-document mapping each file path to ``{sha256, summary}``, so a warm run only
-hashes file contents (no parsing) for unchanged files.
+A lint run's cost is dominated by parsing every file, summarizing it for the
+graph rules and walking it with the lexical rules; the analysis over the
+finished summaries is cheap.  The cache stores one JSON document mapping
+each file path to ``{key, summary}``, where the summary holds both the graph
+summary and the file's lexical findings, so a warm run only hashes file
+contents (no parsing) for unchanged files.
 
-Invalidation is by value, not by mtime: a touched-but-identical file still
-hits, a changed file always misses.  Entries written by a different
+Invalidation is by value, not by mtime: the key hashes the file's bytes
+together with the path-policy fingerprint the lexical findings were computed
+under.  A touched-but-identical file still hits; a changed file, or a run
+under a different path policy, misses.  Entries written by a different
 :data:`~repro.analysis.lint.graph.summary.SUMMARY_VERSION` are discarded
-wholesale on load, so shape changes to the summary format can never be
-misread.  Writes are atomic (tmp file + ``os.replace``) — a crashed run
-leaves the previous cache intact, and the worst possible failure mode of a
-corrupt or missing cache file is a cold run.
+wholesale on load, so shape changes can never be misread.  Entries are
+evicted only once their file no longer exists, so linting a subdirectory
+leaves the rest of the tree warm.  Writes are atomic (tmp file +
+``os.replace``) — a crashed run leaves the previous cache intact, and the
+worst possible failure mode of a corrupt or missing cache file is a cold
+run.
 """
 
 from __future__ import annotations
@@ -20,41 +26,36 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.analysis.lint.graph.summary import (
-    SUMMARY_VERSION,
-    ModuleSummaryError,
-    summarize_module,
-)
+from repro.analysis.lint.graph.summary import SUMMARY_VERSION
 
-__all__ = ["SummaryCache", "DEFAULT_CACHE_NAME", "content_hash"]
-
-#: Default cache file name, created next to the linted tree's cwd.
-DEFAULT_CACHE_NAME = ".reprolint-cache.json"
+__all__ = ["SummaryCache", "content_hash"]
 
 
 def content_hash(data: bytes) -> str:
-    """SHA-256 hex digest of raw file bytes — the cache invalidation key."""
+    """SHA-256 hex digest of raw bytes — the cache invalidation key."""
     return hashlib.sha256(data).hexdigest()
 
 
 class SummaryCache:
-    """Load-once / save-once summary cache keyed by file content hash.
+    """Load-once / save-once cache of per-file results keyed by content.
 
     Usage::
 
-        cache = SummaryCache(Path(".reprolint-cache.json"))
-        summary, hit = cache.summarize(path)   # parse only on miss
+        cache = SummaryCache(Path(".reprolint-cache.json"), policy)
+        summary = cache.get(path, analyze)   # analyze(source, path) on miss
         ...
-        cache.save()                           # persist for the next run
+        cache.save()                         # persist for the next run
 
-    A ``path`` of ``None`` disables persistence entirely (every call is a
-    miss and ``save()`` is a no-op) — used by tests that want cold runs.
+    ``policy`` is the path-policy fingerprint hashed into every key.  A
+    ``path`` of ``None`` disables persistence entirely (every call is a
+    miss and ``save()`` is a no-op) — used for cold runs.
     """
 
-    def __init__(self, path: Optional[Path]):
+    def __init__(self, path: Optional[Path], policy: str):
         self.path = Path(path) if path is not None else None
+        self.policy = policy.encode("utf-8")
         self._entries: Dict[str, dict] = {}
         self._dirty = False
         self.hits = 0
@@ -75,39 +76,31 @@ class SummaryCache:
             self._entries = entries
 
     # ------------------------------------------------------------------ api
-    def summarize(self, file_path: Path) -> Tuple[dict, bool]:
-        """Return ``(module_summary, was_cache_hit)`` for one file.
-
-        Parse errors are summarized as ``{"error": message}`` pseudo-modules
-        (and cached like any other result) so a broken file costs one parse
-        attempt per content version, not one per run.
-        """
-        norm = str(file_path).replace("\\", "/")
+    def get(self, file_path: Path, analyze: Callable[[str, str], dict]) -> dict:
+        """Return the cached result for one file, calling
+        ``analyze(source, posix_path)`` only when its content or the path
+        policy changed."""
+        norm = Path(file_path).as_posix()
         data = Path(file_path).read_bytes()
-        digest = content_hash(data)
+        key = content_hash(self.policy + b"\0" + data)
         entry = self._entries.get(norm)
-        if entry is not None and entry.get("sha256") == digest:
+        if entry is not None and entry.get("key") == key:
             self.hits += 1
-            return entry["summary"], True
+            return entry["summary"]
         self.misses += 1
-        try:
-            summary = summarize_module(data.decode("utf-8", errors="replace"), norm)
-        except ModuleSummaryError as err:
-            summary = {"version": SUMMARY_VERSION, "path": norm, "error": str(err)}
-        self._entries[norm] = {"sha256": digest, "summary": summary}
+        summary = analyze(data.decode("utf-8", errors="replace"), norm)
+        self._entries[norm] = {"key": key, "summary": summary}
         self._dirty = True
-        return summary, False
-
-    def prune(self, keep_paths) -> None:
-        """Drop entries for files no longer part of the linted tree."""
-        keep = {str(p).replace("\\", "/") for p in keep_paths}
-        stale = [p for p in self._entries if p not in keep]
-        for p in stale:
-            del self._entries[p]
-            self._dirty = True
+        return summary
 
     def save(self) -> None:
-        if self.path is None or not self._dirty:
+        """Evict entries whose file is gone and persist the rest."""
+        if self.path is None:
+            return
+        gone = [p for p in self._entries if not Path(p).exists()]
+        for p in gone:
+            del self._entries[p]
+        if not (self._dirty or gone):
             return
         doc = {"version": SUMMARY_VERSION, "entries": self._entries}
         tmp = self.path.with_name(self.path.name + ".tmp")

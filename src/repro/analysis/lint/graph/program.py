@@ -32,12 +32,12 @@ than guessing.  The deliberate unsoundness (dynamic dispatch, ``getattr``,
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import PurePosixPath
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 __all__ = ["ProgramGraph", "FnInfo", "ResolvedTarget", "MAX_EVAL_DEPTH"]
 
+#: Bound on interprocedural evaluation and taint-propagation depth.
 MAX_EVAL_DEPTH = 8
 
 Kinds = FrozenSet[str]
@@ -168,7 +168,9 @@ _UNKNOWN_TARGET = ResolvedTarget("unknown")
 
 
 def _refkey(ref) -> str:
-    return json.dumps(ref, separators=(",", ":"))
+    # Memo key: refs are nested lists of str/int, for which repr is
+    # injective and far cheaper than a JSON encode.
+    return repr(ref)
 
 
 class ProgramGraph:

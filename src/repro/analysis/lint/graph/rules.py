@@ -1,9 +1,9 @@
 """Interprocedural rule families over a :class:`ProgramGraph`.
 
 Each checker takes the graph plus the
-:class:`~repro.analysis.lint.graph.engine.GraphConfig` path policy and
-returns plain :class:`~repro.analysis.lint.findings.Finding` lists; the
-engine owns selection, suppression, ordering, and baselines.
+:class:`~repro.analysis.lint.context.LintConfig` path policy and returns
+plain :class:`~repro.analysis.lint.findings.Finding` lists; the engine owns
+selection, suppression and ordering, the CLI owns baselines.
 
 - **RPL011** (`graph-rng-taint`): an unseeded RNG (``default_rng()`` with no
   seed, or a seed that is ``None``) flowing into a function defined under
@@ -33,7 +33,7 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.graph.program import FnInfo, ProgramGraph
+from repro.analysis.lint.graph.program import MAX_EVAL_DEPTH, FnInfo, ProgramGraph
 
 __all__ = ["check_rpl011", "check_rpl012", "check_rpl013", "check_rpl014", "GRAPH_CHECKERS"]
 
@@ -85,7 +85,7 @@ def check_rpl011(graph: ProgramGraph, config) -> List[Finding]:
         findings.append(_site_finding("RPL011", "graph-rng-taint", fn, site, message))
 
     def queue(fqn: str, index: int, mode: str, chain: Tuple[str, ...]) -> None:
-        if len(chain) > config.max_depth:
+        if len(chain) > MAX_EVAL_DEPTH:
             return
         if (fqn, index, mode) in queued:
             return

@@ -38,9 +38,12 @@ def _ensure_loaded() -> None:
 
 
 def known_codes() -> List[str]:
-    """All registered rule codes, sorted."""
+    """Every rule code, sorted: the registered lexical rules plus the
+    interprocedural graph rules."""
+    from repro.analysis.lint.graph.rules import GRAPH_CHECKERS
+
     _ensure_loaded()
-    return sorted(_REGISTRY)
+    return sorted(set(_REGISTRY) | {code for code, _ in GRAPH_CHECKERS})
 
 
 def all_rules() -> List[Rule]:
@@ -50,15 +53,15 @@ def all_rules() -> List[Rule]:
 
 
 def rules_for(select: Optional[FrozenSet[str]] = None) -> List[Rule]:
-    """Instances of the selected rules (all when ``select`` is None).
+    """Instances of the selected lexical rules (all when ``select`` is None).
 
-    Raises ``ValueError`` on unknown codes so typos in ``--select`` surface
-    as CLI errors instead of silently linting nothing.
+    ``select`` may name any rule code, lexical or graph.  Raises
+    ``ValueError`` on unknown codes so typos in ``--select`` surface as CLI
+    errors instead of silently linting nothing.
     """
-    _ensure_loaded()
     if select is None:
         return all_rules()
-    unknown = sorted(set(select) - set(_REGISTRY))
+    unknown = sorted(set(select) - set(known_codes()))
     if unknown:
         raise ValueError(f"unknown rule code(s): {', '.join(unknown)}")
-    return [_REGISTRY[code]() for code in sorted(select)]
+    return [_REGISTRY[code]() for code in sorted(select) if code in _REGISTRY]

@@ -66,7 +66,7 @@ class KernelImportFunnelRule(Rule):
     node_types = (ast.Import, ast.ImportFrom)
 
     def check(self, node: ast.AST, ctx: LintContext) -> None:
-        if not ctx.in_kernel_consumer_path or ctx.in_exempt_path:
+        if not ctx.in_funnel_consumer_path or ctx.in_exempt_path:
             return
         for spelling, target in _offending_targets(node):
             ctx.report(

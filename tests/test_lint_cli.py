@@ -11,6 +11,12 @@ from repro.cli import main
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+@pytest.fixture(autouse=True)
+def _isolated_cwd(tmp_path, monkeypatch):
+    # The default result cache is written to the working directory.
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def dirty_file(tmp_path):
     p = tmp_path / "dirty.py"

@@ -1,35 +1,40 @@
-"""Interprocedural graph-lint tests: fixture packages with ``# expect:``
-markers pin each RPL011–RPL014 finding to an exact location, clean twins
-must stay silent, suppressions work for every graph code, the summary cache
-hits warm and invalidates on change, and the baseline ratchet absorbs known
-findings while failing new ones."""
+"""Interprocedural lint tests: fixture packages with ``# expect:`` markers
+pin each RPL011–RPL014 finding to an exact location, clean twins must stay
+silent, suppressions work for every graph code, the per-file cache hits
+warm, invalidates on change and survives subset runs, a broken file does
+not hide graph findings, and the baseline ratchet absorbs known findings
+while failing new ones."""
 
 import dataclasses
 import json
 import pathlib
 import re
 import shutil
+import subprocess
 
 import pytest
 
+from repro.analysis.lint import LintConfig, analyze_source, run_lint
+from repro.analysis.lint.findings import PARSE_ERROR_CODE
 from repro.analysis.lint.graph import (
-    GraphConfig,
     apply_baseline,
-    graph_codes,
     load_baseline,
-    run_graph_lint,
-    summarize_module,
     write_baseline,
 )
 from repro.analysis.lint.graph.program import ProgramGraph
+from repro.analysis.lint.graph.rules import GRAPH_CHECKERS
 from repro.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint" / "graph"
 PROJ = FIXTURES / "proj"
 
-#: Path/module policy matching the fixture package instead of src/repro.
-FIXTURE_CONFIG = GraphConfig(
+GRAPH_CODES = frozenset(code for code, _ in GRAPH_CHECKERS)
+
+#: Path/module policy matching the fixture package instead of src/repro,
+#: reporting the graph family only (the fixtures also trip lexical rules).
+FIXTURE_CONFIG = LintConfig(
+    select=GRAPH_CODES,
     exempt_paths=(),
     taint_sink_paths=("models/", "serving/", "eval/"),
     dtype_sink_paths=("models/",),
@@ -57,7 +62,7 @@ def _run(root=PROJ, cache=None, select=None):
     config = FIXTURE_CONFIG
     if select is not None:
         config = dataclasses.replace(config, select=frozenset(select))
-    return run_graph_lint([root], config=config, cache_path=cache)
+    return run_lint([root], config=config, cache_path=cache)
 
 
 # -------------------------------------------------------------- exact firing
@@ -97,7 +102,7 @@ def test_suppression_escape_hatch_works_for_every_graph_code(tmp_path):
     """Each fixture carries a suppressed twin per code; stripping the
     disable comments must make those exact lines fire."""
     suppressed = _markers(PROJ, _DISABLE)
-    assert {m[2] for m in suppressed} == set(graph_codes())
+    assert {m[2] for m in suppressed} == GRAPH_CODES
     rep = _run()
     reported = {(f.path, f.line) for f in rep.findings}
     for path, line, _ in suppressed:
@@ -186,7 +191,7 @@ def test_unknown_graph_select_raises():
 
 def test_module_naming_walks_up_through_init_files():
     summaries = {
-        str(p).replace("\\", "/"): summarize_module(p.read_text(encoding="utf-8"), str(p))
+        p.as_posix(): analyze_source(p.read_text(encoding="utf-8"), p.as_posix())
         for p in sorted(PROJ.rglob("*.py"))
     }
     graph = ProgramGraph(summaries)
@@ -199,7 +204,7 @@ def test_module_naming_walks_up_through_init_files():
 
 def test_summary_is_json_roundtrippable():
     source = (PROJ / "serving" / "app.py").read_text(encoding="utf-8")
-    summary = summarize_module(source, "proj/serving/app.py")
+    summary = analyze_source(source, "proj/serving/app.py", FIXTURE_CONFIG)
     assert json.loads(json.dumps(summary)) == summary
     handler = summary["functions"]["handler"]
     assert handler["async"] is True
@@ -208,8 +213,8 @@ def test_summary_is_json_roundtrippable():
 
 
 # ------------------------------------------------------------------- CLI
-def test_cli_graph_flag_reports_findings(capsys):
-    code = main(["lint", "--graph", "--no-cache", str(PROJ)])
+def test_cli_fixture_tree_clean_under_default_policy(capsys):
+    code = main(["lint", "--no-cache", str(PROJ)])
     out = capsys.readouterr().out
     # Default config exempts fixtures/ paths: the fixture tree is clean under
     # the shipped policy (that's what keeps `make lint` quiet), exit 0.
@@ -218,7 +223,8 @@ def test_cli_graph_flag_reports_findings(capsys):
 
 
 def test_cli_graph_on_src_tree_is_clean(capsys):
-    assert main(["lint", "--graph", "--no-cache", str(REPO_ROOT / "src")]) == 0
+    select = ",".join(sorted(GRAPH_CODES))
+    assert main(["lint", "--no-cache", "--select", select, str(REPO_ROOT / "src")]) == 0
     assert "clean" in capsys.readouterr().out
 
 
@@ -233,14 +239,13 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
         encoding="utf-8",
     )
     baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--graph", "--no-cache", str(tmp_path / "mini")]) == 1
+    assert main(["lint", "--no-cache", str(tmp_path / "mini")]) == 1
     assert "RPL013" in capsys.readouterr().out
 
     assert (
         main(
             [
                 "lint",
-                "--graph",
                 "--no-cache",
                 "--write-baseline",
                 str(baseline),
@@ -256,7 +261,6 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
         main(
             [
                 "lint",
-                "--graph",
                 "--no-cache",
                 "--baseline",
                 str(baseline),
@@ -276,7 +280,6 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
         main(
             [
                 "lint",
-                "--graph",
                 "--no-cache",
                 "--baseline",
                 str(baseline),
@@ -289,7 +292,7 @@ def test_cli_baseline_ratchet_roundtrip(tmp_path, capsys):
     assert "no longer matches" in captured.err
 
 
-def test_cli_select_splits_between_engines(tmp_path, capsys):
+def test_cli_select_spans_lexical_and_graph_rules(tmp_path, capsys):
     p = tmp_path / "serving"
     p.mkdir()
     (tmp_path / "__init__.py").write_text("", encoding="utf-8")
@@ -299,9 +302,113 @@ def test_cli_select_splits_between_engines(tmp_path, capsys):
         "import pickle\nimport time\n\n\nasync def handler():\n    time.sleep(1)\n",
         encoding="utf-8",
     )
-    assert main(["lint", "--graph", "--no-cache", "--select", "RPL005,RPL013", str(tmp_path)]) == 1
+    assert main(["lint", "--no-cache", "--select", "RPL005,RPL013", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "RPL005" in out and "RPL013" in out
-    assert main(["lint", "--graph", "--no-cache", "--select", "RPL013", str(tmp_path)]) == 1
+    assert main(["lint", "--no-cache", "--select", "RPL013", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "RPL005" not in out and "RPL013" in out
+    assert main(["lint", "--no-cache", "--select", "RPL005", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "RPL005" in out and "RPL013" not in out
+    # No --select: one pass reports both families.
+    assert main(["lint", "--no-cache", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "RPL005" in out and "RPL013" in out
+
+
+# ------------------------------------------------------------ cache scope
+def test_subset_run_keeps_other_files_cached(tmp_path):
+    tree = tmp_path / "proj"
+    shutil.copytree(PROJ, tree)
+    cache = tmp_path / "cache.json"
+    full = _run(root=tree, cache=cache)
+    subset = _run(root=tree / "serving", cache=cache)
+    assert subset.cache_hits == subset.files_checked
+    again = _run(root=tree, cache=cache)
+    assert again.cache_misses == 0 and again.cache_hits == full.files_checked
+    assert again.findings == full.findings
+
+    # Entries are evicted once their file is gone.
+    gone = tree / "utils.py"
+    gone.unlink()
+    _run(root=tree, cache=cache)
+    entries = json.loads(cache.read_text(encoding="utf-8"))["entries"]
+    assert gone.as_posix() not in entries
+    assert (tree / "flow.py").as_posix() in entries
+
+
+def test_cache_key_carries_path_policy_not_selection(tmp_path):
+    cache = tmp_path / "cache.json"
+    cold = _run(cache=cache)
+    # Selection filters at report time: the cached lexical findings cover
+    # every rule, so narrowing it stays warm.
+    narrowed = _run(cache=cache, select={"RPL013"})
+    assert narrowed.cache_misses == 0
+    # A different path policy changes what the lexical rules report, so
+    # every entry misses.
+    other = dataclasses.replace(FIXTURE_CONFIG, exempt_paths=("proj/",))
+    rep = run_lint([PROJ], config=other, cache_path=cache)
+    assert rep.cache_hits == 0 and rep.cache_misses == cold.files_checked
+    assert rep.findings == []
+
+
+# ------------------------------------------------------------ broken files
+def _mini_tree(root):
+    serving = root / "mini" / "serving"
+    serving.mkdir(parents=True)
+    (root / "mini" / "__init__.py").write_text("", encoding="utf-8")
+    (serving / "__init__.py").write_text("", encoding="utf-8")
+    (serving / "app.py").write_text(
+        "import time\n\n\nasync def handler():\n    time.sleep(1)\n",
+        encoding="utf-8",
+    )
+    return root / "mini"
+
+
+def test_broken_file_reports_rpl000_and_keeps_graph_findings(tmp_path):
+    tree = _mini_tree(tmp_path)
+    (tree / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+    cache = tmp_path / "cache.json"
+    for select in (None, frozenset({"RPL013"})):
+        for _ in range(2):  # cold, then warm from the cache
+            rep = run_lint([tree], config=LintConfig(select=select), cache_path=cache)
+            codes = sorted(f.code for f in rep.findings)
+            assert codes == [PARSE_ERROR_CODE, "RPL013"], (select, codes)
+    (parse_error,) = [f for f in rep.findings if f.code == PARSE_ERROR_CODE]
+    assert parse_error.path == (tree / "broken.py").as_posix()
+    assert parse_error.line == 1
+
+
+# ----------------------------------------------------------- changed-since
+def _git(cwd, *argv):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *argv],
+        cwd=cwd,
+        check=True,
+        capture_output=True,
+    )
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_changed_since_matches_absolute_and_subdirectory_paths(tmp_path, monkeypatch, capsys):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "old.py").write_text("import pickle\n", encoding="utf-8")
+    (pkg / "new.py").write_text("VALUE = 1\n", encoding="utf-8")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "init")
+    (pkg / "new.py").write_text("import pickle\n", encoding="utf-8")
+
+    def lint(cwd, target):
+        monkeypatch.chdir(cwd)
+        code = main(["lint", "--no-cache", "--changed-since", "HEAD", target])
+        return code, capsys.readouterr().out
+
+    for cwd, target in ((tmp_path, "pkg"), (tmp_path, str(pkg)), (pkg, ".")):
+        code, out = lint(cwd, target)
+        assert code == 1, (cwd, target, out)
+        assert "new.py:1:" in out and "RPL005" in out
+        # The unchanged file's finding is filtered out.
+        assert "old.py" not in out

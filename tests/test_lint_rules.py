@@ -6,7 +6,14 @@ import pathlib
 
 import pytest
 
-from repro.analysis.lint import DEFAULT_CONFIG, LintConfig, lint_file, lint_source
+from repro.analysis.lint import (
+    DEFAULT_CONFIG,
+    LintConfig,
+    all_rules,
+    lint_file,
+    lint_source,
+    run_lint,
+)
 
 # Fixtures sit under tests/, which the default policy exempts from the
 # randomness rules; strict config lifts that so fixtures lint like library code.
@@ -363,3 +370,15 @@ def test_good_fixture_clean(name):
 
 def test_suppressed_fixture_clean():
     assert lint_file(FIXTURES / "suppressed.py", config=STRICT) == []
+
+
+def test_fixture_suite_through_full_run():
+    """The whole fixture directory through the one-pass engine, reporting
+    the lexical family, yields exactly the per-file expectations above."""
+    lexical = frozenset(rule.code for rule in all_rules())
+    report = run_lint([FIXTURES], config=LintConfig(select=lexical, exempt_paths=()))
+    found = {}
+    for f in report.findings:
+        found.setdefault(pathlib.Path(f.path).name, set()).add(f.code)
+    assert found == BAD_FIXTURES
+    assert report.files_checked == len(BAD_FIXTURES) + len(GOOD_FIXTURES) + 1
