@@ -48,7 +48,7 @@ from repro.train.agreement import DEFAULT_TOLERANCE
 from repro.utils.tables import TextTable
 
 WORKERS = 4
-CORES = os.cpu_count() or 1
+CORES = len(os.sched_getaffinity(0))
 SPEEDUP_FLOOR = 2.0
 
 needs_cores = pytest.mark.skipif(

@@ -12,7 +12,11 @@ The subpackage also hosts the reproduction's self-analysis tooling:
 - :mod:`~repro.analysis.lint` — reprolint, the project-aware static analyzer
   (``repro lint``);
 - :mod:`~repro.analysis.sanitizer` — the runtime numeric sanitizer
-  (``REPRO_SANITIZE=1`` / ``repro sanitize-run``).
+  (``REPRO_SANITIZE=1`` / ``repro sanitize-run``);
+- :mod:`~repro.analysis.profiler` — the op-timer profiler
+  (``repro profile``);
+- :mod:`~repro.analysis.instrument` — the one install point both runtime
+  instruments attach through.
 """
 
 from repro.analysis.distributions import UserQueryDistributions, compute_distributions

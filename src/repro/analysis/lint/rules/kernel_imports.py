@@ -5,9 +5,10 @@ raw-ndarray routines with no tape and no backend selection; the **only**
 sanctioned way for model and evaluation code to reach them is
 :mod:`repro.kernels.dispatch`, which owns backend resolution
 (``REPRO_KERNELS``), the oracle escape hatch and the Tensor-building
-wrappers the sanitizer/profiler instrument.  A model importing a backend
-module directly pins one implementation, silently skips the oracle fallback
-path, and produces tensors the instrumentation never sees.  The rule flags
+wrappers that :mod:`repro.analysis.instrument` hooks for the sanitizer and
+profiler.  A model importing a backend module directly pins one
+implementation, silently skips the oracle fallback path, and produces
+tensors the instrumentation never sees.  The rule flags
 any ``repro.kernels`` import other than ``dispatch`` in the consumer paths;
 a deliberate exception (a benchmark pitting backends against each other, a
 parity test) lives outside those paths or carries an explicit

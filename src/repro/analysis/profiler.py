@@ -1,9 +1,10 @@
 """Op-timer profiler: where does a training epoch's wall-clock go?
 
-Reuses the monkeypatch machinery of :mod:`repro.analysis.sanitizer`: every
-public op in :mod:`repro.autograd.functional`, every fused Tensor op in
-:mod:`repro.kernels.dispatch`, and :meth:`~repro.autograd.optim.Optimizer.step`
-is wrapped with a timing shim while a profile is active.  Each wrapper records
+A client of :mod:`repro.analysis.instrument`, the engine's single install
+point: every public op in :mod:`repro.autograd.functional`, every fused
+Tensor op in :mod:`repro.kernels.dispatch`, and
+:meth:`~repro.autograd.optim.Optimizer.step` is wrapped with a timing shim
+while a profile is active.  Each wrapper records
 
 - **forward** seconds — wall-clock of the op call itself, attributed only to
   *top-level* calls (a composite op like ``bpr_loss`` that invokes other
@@ -20,10 +21,10 @@ gather/scatter chain dominates; run it fused and the same time collapses into
 ``edge_attention_scores`` / ``weighted_neighbor_sum`` at a fraction of the
 wall-clock.
 
-Instrumentation is installed by patching module attributes and fully removed
-on exit, so an un-profiled run costs nothing.  Profiling composes with the
-sanitizer (either order): each layer saves and restores whatever callable it
-found.
+The profiler attaches on entry to :func:`profiled` and detaches on exit, so
+an un-profiled run has no wrapper in its call path.  Profiling composes with
+the sanitizer in any attach/detach order: every rebuild of the engine starts
+from its pristine callables.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ import functools
 import time
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.autograd import functional as F
-from repro.autograd import optim as _optim
+from repro.analysis import instrument
 from repro.autograd.tensor import Tensor
-from repro.kernels import dispatch as _dispatch
 
-__all__ = ["OpStat", "ProfileReport", "profiled", "enable", "disable", "is_enabled"]
+__all__ = ["OpStat", "ProfileReport", "profiled"]
 
 
 @dataclasses.dataclass
@@ -126,134 +125,66 @@ class ProfileReport:
 
 
 # ----------------------------------------------------------------- wrappers
-_active: Optional[ProfileReport] = None
-# Depth of instrumented calls on the stack: only depth-0 calls are timed, so
-# composite ops don't double-count the primitives they invoke.
-_depth = 0
+class _Profiler:
+    """The profiler's :mod:`~repro.analysis.instrument` client, filling one report.
 
+    :meth:`~repro.autograd.optim.Optimizer.step` is timed like a top-level
+    op, under the name ``optimizer.step``.
+    """
 
-def _timed_op(name: str, fn: Callable) -> Callable:
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        global _depth
-        report = _active
-        if report is None or _depth:
-            _depth += 1
-            try:
+    def __init__(self, report: ProfileReport) -> None:
+        self.report = report
+
+    def wrap(self, kind: str, name: str, fn: Callable) -> Callable:
+        if kind == "step":
+            name = "optimizer.step"
+        elif kind != "op":
+            return fn
+        stat = self.report._stat
+
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            if instrument.op_depth():
                 return fn(*args, **kwargs)
-            finally:
-                _depth -= 1
-        _depth += 1
-        t0 = time.perf_counter()
-        try:
+            t0 = time.perf_counter()
             out = fn(*args, **kwargs)
-        finally:
             dt = time.perf_counter() - t0
-            _depth -= 1
-        stat = report._stat(name)
-        stat.calls += 1
-        stat.forward_seconds += dt
-        if isinstance(out, Tensor) and out._backward is not None:
-            inner = out._backward
+            op = stat(name)
+            op.calls += 1
+            op.forward_seconds += dt
+            if isinstance(out, Tensor) and out._backward is not None:
+                inner = out._backward
 
-            def timed_backward(grad):
-                t1 = time.perf_counter()
-                try:
-                    inner(grad)
-                finally:
-                    stat.backward_seconds += time.perf_counter() - t1
+                def timed_backward(grad):
+                    t1 = time.perf_counter()
+                    try:
+                        inner(grad)
+                    finally:
+                        op.backward_seconds += time.perf_counter() - t1
 
-            out._backward = timed_backward
-        return out
+                out._backward = timed_backward
+            return out
 
-    wrapped.__profiler_wrapped__ = True
-    return wrapped
-
-
-def _timed_step(original: Callable) -> Callable:
-    @functools.wraps(original)
-    def wrapped(self):
-        report = _active
-        if report is None:
-            return original(self)
-        t0 = time.perf_counter()
-        try:
-            return original(self)
-        finally:
-            stat = report._stat("optimizer.step")
-            stat.calls += 1
-            stat.forward_seconds += time.perf_counter() - t0
-
-    wrapped.__profiler_wrapped__ = True
-    return wrapped
-
-
-# ------------------------------------------------------------ install state
-_installed = False
-_saved_ops: Dict[str, Callable] = {}
-_saved_dispatch_ops: Dict[str, Callable] = {}
-_saved_step: Optional[Callable] = None
-
-
-def is_enabled() -> bool:
-    """Whether the profiler instrumentation is currently installed."""
-    return _installed
-
-
-def enable() -> None:
-    """Install the timing instrumentation (idempotent)."""
-    global _installed, _saved_step
-    if _installed:
-        return
-    for name in F.__all__:
-        fn = getattr(F, name)
-        _saved_ops[name] = fn
-        setattr(F, name, _timed_op(name, fn))
-    for name in _dispatch.TENSOR_OPS:
-        fn = getattr(_dispatch, name)
-        _saved_dispatch_ops[name] = fn
-        setattr(_dispatch, name, _timed_op(name, fn))
-    _saved_step = _optim.Optimizer.step
-    _optim.Optimizer.step = _timed_step(_saved_step)
-    _installed = True
-
-
-def disable() -> None:
-    """Remove the instrumentation (idempotent)."""
-    global _installed, _saved_step
-    if not _installed:
-        return
-    for name, fn in _saved_ops.items():
-        setattr(F, name, fn)
-    _saved_ops.clear()
-    for name, fn in _saved_dispatch_ops.items():
-        setattr(_dispatch, name, fn)
-    _saved_dispatch_ops.clear()
-    _optim.Optimizer.step = _saved_step
-    _saved_step = None
-    _installed = False
+        return wrapped
 
 
 @contextlib.contextmanager
 def profiled() -> Iterator[ProfileReport]:
     """Profile the enclosed block, yielding the report being filled.
 
-    The report's totals are final once the block exits.  Nesting-safe in the
-    same way as :func:`repro.analysis.sanitizer.sanitized`; concurrent
-    profiles are not supported (one active report at a time).
+    The report's totals are final once the block exits, and the profiler's
+    wrappers are gone from the engine, even if the block raised.  Profiles
+    do not nest (one active report at a time); a profile composes with the
+    sanitizer in any enable/disable order.
     """
-    global _active
-    if _active is not None:
+    if any(isinstance(c, _Profiler) for c in instrument.attached()):
         raise RuntimeError("a profile is already active; profiled() does not nest")
-    was_installed = _installed
-    enable()
     report = ProfileReport()
-    _active = report
+    client = _Profiler(report)
+    instrument.attach(client)
     t0 = time.perf_counter()
     try:
         yield report
     finally:
         report.wall_seconds = time.perf_counter() - t0
-        _active = None
-        if not was_installed:
-            disable()
+        instrument.detach(client)

@@ -23,9 +23,10 @@ it surfaces inside ``bpr_loss``.
 
 Enable with the ``REPRO_SANITIZE=1`` environment variable (checked at
 ``import repro`` time), the :func:`sanitized` context manager, or explicit
-:func:`enable`/:func:`disable` calls.  The instrumentation is installed by
-patching module/class attributes and fully removed on :func:`disable`, so a
-disabled sanitizer costs nothing.
+:func:`enable`/:func:`disable` calls.  The sanitizer is one client of
+:mod:`repro.analysis.instrument`, the engine's single install point: it
+composes with the profiler in any attach/detach order, and once disabled its
+wrappers are gone from the call path, so a disabled sanitizer costs nothing.
 """
 
 from __future__ import annotations
@@ -33,15 +34,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List
 
 import numpy as np
 
-from repro.autograd import functional as F
-from repro.autograd import optim as _optim
+from repro.analysis import instrument
 from repro.autograd.sparse import SparseRowGrad
 from repro.autograd.tensor import Tensor
-from repro.kernels import dispatch as _dispatch
 
 __all__ = [
     "ENV_VAR",
@@ -108,21 +107,10 @@ def _tensor_args(args, kwargs) -> List[Tensor]:
 
 
 # ----------------------------------------------------------------- wrappers
-# Depth of instrumented-op calls currently on the stack.  The Tensor.__init__
-# hook stays quiet while an op is running: the op wrapper performs the same
-# check on the finished output and, unlike the constructor, knows the op name.
-_op_depth = 0
-
-
 def _wrap_op(name: str, fn: Callable) -> Callable:
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
-        global _op_depth
-        _op_depth += 1
-        try:
-            out = fn(*args, **kwargs)
-        finally:
-            _op_depth -= 1
+        out = fn(*args, **kwargs)
         if isinstance(out, Tensor):
             _check_finite(out.data, name, "output")
             ins = _tensor_args(args, kwargs)
@@ -139,19 +127,19 @@ def _wrap_op(name: str, fn: Callable) -> Callable:
                 )
         return out
 
-    wrapped.__sanitizer_wrapped__ = True
     return wrapped
 
 
 def _sanitized_tensor_init(original: Callable) -> Callable:
+    # Quiet inside an instrumented op: the op wrapper performs the same check
+    # on the finished output and, unlike the constructor, knows the op name.
     @functools.wraps(original)
     def wrapped(self, data, requires_grad=False, _parents=(), _backward=None, name=""):
         original(self, data, requires_grad, _parents, _backward, name)
-        if _op_depth == 0:
+        if instrument.op_depth() == 0:
             label = name or f"Tensor{self.data.shape}"
             _check_finite(self.data, label, "data")
 
-    wrapped.__sanitizer_wrapped__ = True
     return wrapped
 
 
@@ -167,7 +155,6 @@ def _sanitized_accumulate_grad(original: Callable) -> Callable:
             _check_finite(np.asarray(grad), f"accumulate_grad[{label}]", "gradient")
         original(self, grad, owned)
 
-    wrapped.__sanitizer_wrapped__ = True
     return wrapped
 
 
@@ -193,87 +180,38 @@ def _sanitized_step(original: Callable) -> Callable:
                 label = p.name or f"param{p.data.shape}"
                 _check_finite(p.data, f"step[{label}]", "updated parameter")
 
-    wrapped.__sanitizer_wrapped__ = True
     return wrapped
 
 
-# ------------------------------------------------------------ install state
-_installed = False
-_saved_ops: Dict[str, Callable] = {}
-_saved_dispatch_ops: Dict[str, Callable] = {}
-_saved_tensor_init: Optional[Callable] = None
-_saved_accumulate_grad: Optional[Callable] = None
-_saved_step: Optional[Callable] = None
+class _Sanitizer:
+    """The sanitizer's :mod:`~repro.analysis.instrument` client."""
+
+    def wrap(self, kind: str, name: str, fn: Callable) -> Callable:
+        if kind == "op":
+            return _wrap_op(name, fn)
+        if kind == "init":
+            return _sanitized_tensor_init(fn)
+        if kind == "accumulate_grad":
+            return _sanitized_accumulate_grad(fn)
+        return _sanitized_step(fn)
+
+
+_CLIENT = _Sanitizer()
 
 
 def is_enabled() -> bool:
-    """Whether the sanitizer instrumentation is currently installed."""
-    return _installed
-
-
-def _already_wrapped(fn: Callable) -> bool:
-    return bool(getattr(fn, "__sanitizer_wrapped__", False))
+    """Whether the sanitizer is attached to the engine."""
+    return _CLIENT in instrument.attached()
 
 
 def enable() -> None:
-    """Install the instrumentation (idempotent).
-
-    Guarded twice: the module-level ``_installed`` flag short-circuits the
-    common repeat call (``REPRO_SANITIZE=1`` install at import plus an
-    explicit ``sanitized()`` block), and a per-function
-    ``__sanitizer_wrapped__`` marker refuses to wrap an already-instrumented
-    attribute even if the flag is ever out of sync with the patched engine
-    (e.g. the sanitizer module imported under two names).  Without the
-    second guard a double install would also poison ``disable()``: the
-    "original" it saves on the second pass is the first pass's wrapper, so
-    the engine could never be fully restored.
-    """
-    global _installed, _saved_tensor_init, _saved_accumulate_grad, _saved_step
-    if _installed:
-        return
-    for name in F.__all__:
-        fn = getattr(F, name)
-        if _already_wrapped(fn):
-            continue
-        _saved_ops[name] = fn
-        setattr(F, name, _wrap_op(name, fn))
-    for name in _dispatch.TENSOR_OPS:
-        fn = getattr(_dispatch, name)
-        if _already_wrapped(fn):
-            continue
-        _saved_dispatch_ops[name] = fn
-        setattr(_dispatch, name, _wrap_op(name, fn))
-    if not _already_wrapped(Tensor.__init__):
-        _saved_tensor_init = Tensor.__init__
-        Tensor.__init__ = _sanitized_tensor_init(_saved_tensor_init)
-    if not _already_wrapped(Tensor.accumulate_grad):
-        _saved_accumulate_grad = Tensor.accumulate_grad
-        Tensor.accumulate_grad = _sanitized_accumulate_grad(_saved_accumulate_grad)
-    if not _already_wrapped(_optim.Optimizer.step):
-        _saved_step = _optim.Optimizer.step
-        _optim.Optimizer.step = _sanitized_step(_saved_step)
-    _installed = True
+    """Attach the sanitizer to the engine (idempotent)."""
+    instrument.attach(_CLIENT)
 
 
 def disable() -> None:
-    """Remove the instrumentation, restoring the original engine (idempotent)."""
-    global _installed, _saved_tensor_init, _saved_accumulate_grad, _saved_step
-    if not _installed:
-        return
-    for name, fn in _saved_ops.items():
-        setattr(F, name, fn)
-    _saved_ops.clear()
-    for name, fn in _saved_dispatch_ops.items():
-        setattr(_dispatch, name, fn)
-    _saved_dispatch_ops.clear()
-    if _saved_tensor_init is not None:
-        Tensor.__init__ = _saved_tensor_init
-    if _saved_accumulate_grad is not None:
-        Tensor.accumulate_grad = _saved_accumulate_grad
-    if _saved_step is not None:
-        _optim.Optimizer.step = _saved_step
-    _saved_tensor_init = _saved_accumulate_grad = _saved_step = None
-    _installed = False
+    """Detach the sanitizer, leaving any other instrument attached (idempotent)."""
+    instrument.detach(_CLIENT)
 
 
 @contextlib.contextmanager
@@ -283,7 +221,7 @@ def sanitized() -> Iterator[None]:
     Nesting-safe: if the sanitizer was already enabled on entry it stays
     enabled on exit.
     """
-    was_enabled = _installed
+    was_enabled = is_enabled()
     enable()
     try:
         yield

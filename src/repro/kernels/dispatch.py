@@ -59,8 +59,9 @@ __all__ = [
 ENV_VAR = "REPRO_KERNELS"
 BACKENDS = ("numpy", "oracle")
 
-#: Dispatch ops that return Tensors — instrumented by the numeric sanitizer
-#: and the op-timer profiler exactly like the ``repro.autograd.functional``
+#: Dispatch ops that return Tensors — entry points of
+#: :mod:`repro.analysis.instrument`, wrapped for the numeric sanitizer and
+#: the op-timer profiler exactly like the ``repro.autograd.functional``
 #: public surface.
 TENSOR_OPS = ("edge_attention_scores", "weighted_neighbor_sum", "transr_energy")
 

@@ -8,10 +8,9 @@ backend is the reference implementation the parallel one must match.
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -60,9 +59,9 @@ class SerialMap(MapExecutor):
 class ProcessMap(MapExecutor):
     """Process-pool backend (requires picklable ``fn`` and items).
 
-    ``max_workers`` defaults to the available CPU count; on single-core
-    machines this is equivalent to (slightly slower than) the serial
-    backend, but exercises the same code path as multi-core runs.
+    ``max_workers`` is required: callers size the pool from their own
+    worker option.  One worker is equivalent to (slightly slower than) the
+    serial backend, but exercises the same code path as multi-core runs.
 
     ``map`` is failure-aware: a worker exception (or a hard worker crash
     that breaks the pool) is logged with the failing item's index, retried
@@ -88,12 +87,11 @@ class ProcessMap(MapExecutor):
     route non-idempotent work through :meth:`map`.
     """
 
-    def __init__(self, max_workers: Optional[int] = None):
-        workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        if workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {workers}")
-        self._pool = ProcessPoolExecutor(max_workers=workers)
-        self.max_workers = workers
+    def __init__(self, max_workers: int):
+        if max_workers <= 0:
+            raise ValueError(f"max_workers must be positive, got {max_workers}")
+        self._pool = ProcessPoolExecutor(max_workers=max_workers)
+        self.max_workers = max_workers
         self.failure_count = 0
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:

@@ -68,6 +68,19 @@ class TestCommands:
     def test_recommend_bad_user(self, capsys):
         assert main(["recommend", "ooi", "99999", "--epochs", "1"]) == 2
 
+    def test_profile_runs(self, capsys):
+        from repro.analysis import instrument
+
+        argv = ["--scale", "small", "profile", "ooi", "--epochs", "1", "--backend", "numpy"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "=== backend=numpy" in out
+        assert "calls" in out and "fwd s" in out and "bwd s" in out
+        assert "% coverage)" in out
+        assert not instrument.attached()
+        for owner, name, _, fn in instrument.TARGETS:
+            assert getattr(owner, name) is fn, f"{name} left instrumented"
+
 
 class TestCacheCommand:
     def test_parser_accepts_cache_actions(self):
