@@ -5,9 +5,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint reprolint lint-changed typecheck smoke test sanitize-smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke
+.PHONY: verify lint reprolint lint-changed typecheck smoke test sanitize-smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke tables-smoke
 
-verify: lint typecheck smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke sanitize-smoke
+verify: lint typecheck smoke sparse-smoke store-smoke kernels-smoke serving-smoke scale-smoke train-parallel-smoke sanitize-smoke tables-smoke
 
 lint: reprolint
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -79,6 +79,14 @@ train-parallel-smoke:
 
 sanitize-smoke:
 	REPRO_SANITIZE=1 $(PYTHON) -m repro.cli sanitize-run BPRMF ooi --epochs 2
+
+# Table fan-out gate: Table IV at small scale, run in-process and across two
+# worker processes; the rendered tables must be byte-identical.
+tables-smoke:
+	tmp=$$(mktemp -d) && \
+	$(PYTHON) -m repro.cli --scale small table 4 --epochs 1 --workers 0 > $$tmp/serial.txt && \
+	$(PYTHON) -m repro.cli --scale small table 4 --epochs 1 --workers 2 > $$tmp/parallel.txt && \
+	diff $$tmp/serial.txt $$tmp/parallel.txt; rc=$$?; rm -rf $$tmp; exit $$rc
 
 test:
 	$(PYTHON) -m pytest -x -q

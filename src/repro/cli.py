@@ -318,6 +318,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from repro.io.checkpoints import normalize_checkpoint_path
+
     ds = load_dataset(args.dataset, scale=args.scale, seed=args.seed, cache_dir=args.cache_dir)
     print(ds.describe())
     result = run_single_model(
@@ -327,23 +329,14 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         best_epoch_selection=args.epochs is None or args.epochs >= 10,
         train_workers=args.workers,
+        save_path=args.save,
     )
     print(
         f"{result.model} on {result.dataset}: recall@20={result.recall:.4f} "
         f"ndcg@20={result.ndcg:.4f} ({result.train_seconds:.1f}s train)"
     )
     if args.save:
-        # Re-train once more to hold a model object for saving would waste
-        # work; instead run_single_model would need to return the model.
-        # Keep the CLI simple: build + fit + save directly.
-        from repro.experiments.runner import build_model, default_fit_config
-        from repro.io import save_parameters
-
-        ckg = ds.build_ckg()
-        model = build_model(args.model, ds, ckg, seed=args.seed)
-        model.fit(ds.split.train, default_fit_config(args.model, epochs=args.epochs, seed=args.seed))
-        written = save_parameters(args.save, model)
-        print(f"checkpoint written to {written}")
+        print(f"checkpoint written to {normalize_checkpoint_path(args.save)}")
     return 0
 
 
@@ -396,7 +389,7 @@ def _cmd_recommend(args) -> int:
     from repro.models import CKAT, CKATConfig
     from repro.models.base import FitConfig
 
-    ds = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    ds = load_dataset(args.dataset, scale=args.scale, seed=args.seed, cache_dir=args.cache_dir)
     if not 0 <= args.user < ds.split.train.num_users:
         print(f"error: user {args.user} out of range [0, {ds.split.train.num_users})", file=sys.stderr)
         return 2
@@ -587,7 +580,7 @@ def _cmd_lint(args) -> int:
 def _cmd_sanitize_run(args) -> int:
     from repro.analysis.sanitizer import SanitizerError, sanitized
 
-    ds = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    ds = load_dataset(args.dataset, scale=args.scale, seed=args.seed, cache_dir=args.cache_dir)
     print(ds.describe())
     try:
         with sanitized():

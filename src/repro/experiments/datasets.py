@@ -29,7 +29,7 @@ from repro.kg.subgraphs import KnowledgeSources
 from repro.pipeline import DatasetPipeline, DatasetRef
 from repro.pipeline.stages import DATASET_NAMES
 
-__all__ = ["BenchmarkDataset", "load_dataset", "dataset_from_ref", "DATASET_NAMES"]
+__all__ = ["BenchmarkDataset", "load_dataset", "DATASET_NAMES"]
 
 
 class BenchmarkDataset:
@@ -63,7 +63,7 @@ class BenchmarkDataset:
         return self._pipeline.affinity
 
     def ref(self) -> DatasetRef:
-        """Picklable handle for crossing process boundaries."""
+        """Picklable handle naming this dataset; a pickled dataset *is* its ref."""
         return self._pipeline.ref()
 
     # ---------------------------------------------------------------- stages
@@ -139,11 +139,3 @@ def load_dataset(
         DatasetPipeline(name, scale=scale, seed=seed, affinity=affinity, cache_dir=cache_dir)
     )
 
-
-def dataset_from_ref(ref: DatasetRef) -> BenchmarkDataset:
-    """Materialize the dataset a :class:`DatasetRef` names.
-
-    Worker-process entry point: the underlying pipeline is process-cached,
-    so shards and model cells in one worker share stage materializations.
-    """
-    return BenchmarkDataset(ref.pipeline())

@@ -18,11 +18,10 @@ import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.eval.evaluator import RankingEvaluator
-from repro.experiments.datasets import BenchmarkDataset, dataset_from_ref, load_dataset
+from repro.experiments.datasets import BenchmarkDataset
 from repro.kg.ckg import CollaborativeKnowledgeGraph
 from repro.kg.prepared import PreparedGraph
 from repro.kg.subgraphs import KnowledgeSources
-from repro.pipeline import DatasetRef
 from repro.models import (
     BPRMF,
     CFKG,
@@ -36,9 +35,9 @@ from repro.models import (
     Recommender,
     RippleNet,
 )
-from repro.io.checkpoints import normalize_checkpoint_path
+from repro.io.checkpoints import normalize_checkpoint_path, save_parameters
 from repro.models.base import FitConfig
-from repro.parallel.executor import MapExecutor, ProcessMap, SerialMap
+from repro.parallel.executor import ProcessMap, SerialMap
 from repro.utils.telemetry import RunLogger
 
 __all__ = [
@@ -51,6 +50,8 @@ __all__ = [
     "run_cell",
     "run_cells",
 ]
+
+PathLike = Union[str, pathlib.Path]
 
 MODEL_NAMES = ("BPRMF", "FM", "NFM", "CKE", "CFKG", "RippleNet", "KGCN", "CKAT")
 
@@ -162,11 +163,12 @@ def run_single_model(
     sources: KnowledgeSources = KnowledgeSources.best(),
     best_epoch_selection: bool = True,
     label: Optional[str] = None,
-    log_dir: Optional[pathlib.Path] = None,
-    checkpoint_dir: Optional[pathlib.Path] = None,
+    log_dir: Optional[PathLike] = None,
+    checkpoint_dir: Optional[PathLike] = None,
     checkpoint_every: int = 10,
     resume: bool = False,
     train_workers: int = 0,
+    save_path: Optional[PathLike] = None,
 ) -> RunResult:
     """Train one model on ``dataset`` and evaluate recall@K / ndcg@K.
 
@@ -185,6 +187,9 @@ def run_single_model(
     (models with private dropout RNGs — NFM, CKAT — are rejected by the
     executor; checkpoints then record the worker/shard layout and only
     resume under the same ``train_workers``).
+
+    ``save_path`` writes the evaluated parameters (the best-epoch snapshot
+    under ``best_epoch_selection``) with :func:`repro.io.save_parameters`.
     """
     if ckg is None:
         ckg = dataset.build_ckg(sources)
@@ -235,6 +240,8 @@ def run_single_model(
         t0 = time.perf_counter()
         result = evaluator.evaluate_model(model)
         eval_seconds = time.perf_counter() - t0
+        if save_path is not None:
+            save_parameters(save_path, model)
         if logger is not None:
             pipeline = getattr(dataset, "pipeline", None)
             if pipeline is not None:
@@ -279,87 +286,54 @@ class CellSpec:
     the paper's Tables II–V are made of.  Cells share nothing at runtime, so
     they can fan out across a :class:`~repro.parallel.executor.ProcessMap`.
 
-    ``dataset`` is preferably a lightweight
-    :class:`~repro.pipeline.DatasetRef` — the worker materializes the stages
-    it needs through its process-cached pipeline (memory-mapping artifacts
-    when the ref carries a cache dir) instead of receiving pickled arrays.
-    A dataset name string (rebuilt via :func:`load_dataset` with
-    ``dataset_scale``/``dataset_seed``/``cache_dir``) and a full
-    :class:`BenchmarkDataset` remain accepted; all three spellings are
-    bit-identical by construction since the bundles are pure functions of
-    their seed.
+    A cell carries its :class:`BenchmarkDataset`.  A dataset pickles as its
+    :class:`~repro.pipeline.DatasetRef` (see ``DatasetPipeline.__reduce__``),
+    so a worker receives the recipe, not arrays, and materializes the stages
+    it needs through its process-cached pipeline — memory-mapping artifacts
+    when the ref carries a cache dir.  Every other knob takes
+    :func:`run_single_model`'s default.
     """
 
     label: str
     model: str
-    dataset: Union[str, DatasetRef, BenchmarkDataset]
-    dataset_scale: str = "full"
-    dataset_seed: int = 7
+    dataset: BenchmarkDataset
     epochs: Optional[int] = None
     seed: int = 0
-    k: int = 20
     sources: KnowledgeSources = KnowledgeSources.best()
     ckat_config: Optional[CKATConfig] = None
-    best_epoch_selection: bool = True
-    log_dir: Optional[str] = None
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 10
+    log_dir: Optional[PathLike] = None
+    checkpoint_dir: Optional[PathLike] = None
     resume: bool = False
-    cache_dir: Optional[str] = None
 
 
 def run_cell(spec: CellSpec) -> RunResult:
     """Execute one cell (worker entry point — module-level, picklable)."""
-    dataset = spec.dataset
-    if isinstance(dataset, DatasetRef):
-        dataset = dataset_from_ref(dataset)
-    elif isinstance(dataset, str):
-        dataset = load_dataset(
-            dataset, scale=spec.dataset_scale, seed=spec.dataset_seed, cache_dir=spec.cache_dir
-        )
     return run_single_model(
         spec.model,
-        dataset,
+        spec.dataset,
         epochs=spec.epochs,
         seed=spec.seed,
-        k=spec.k,
         ckat_config=spec.ckat_config,
         sources=spec.sources,
-        best_epoch_selection=spec.best_epoch_selection,
         label=spec.label,
-        log_dir=pathlib.Path(spec.log_dir) if spec.log_dir else None,
-        checkpoint_dir=pathlib.Path(spec.checkpoint_dir) if spec.checkpoint_dir else None,
-        checkpoint_every=spec.checkpoint_every,
+        log_dir=spec.log_dir,
+        checkpoint_dir=spec.checkpoint_dir,
         resume=spec.resume,
     )
 
 
 def run_cells(
-    specs: Sequence[CellSpec],
-    executor: Optional[MapExecutor] = None,
-    num_workers: int = 0,
+    specs: Sequence[CellSpec], num_workers: int = 0
 ) -> List[Tuple[CellSpec, RunResult]]:
-    """Run independent cells, optionally fanned across worker processes.
+    """Run independent cells; ``num_workers > 1`` fans them across processes.
 
-    Parameters
-    ----------
-    specs:
-        The cells to run.
-    executor:
-        Explicit backend.  When ``None``, ``num_workers > 1`` selects a
-        :class:`ProcessMap` (closed after the run); anything else falls
-        back to the :class:`SerialMap` reference.
-    num_workers:
-        Convenience worker count used only when ``executor`` is ``None``.
-
-    Results are returned in spec order, paired with their specs, and are
-    identical to a serial run: each cell derives all randomness from its own
-    seeds, so process boundaries cannot change the numbers.
+    Anything else runs them in this process through the :class:`SerialMap`
+    reference.  Results are returned in spec order, paired with their specs,
+    and are identical to a serial run: each cell derives all randomness from
+    its own seeds, so process boundaries cannot change the numbers.
     """
     specs = list(specs)
-    if executor is not None:
-        return list(zip(specs, executor.map(run_cell, specs)))
-    if num_workers > 1:
-        with ProcessMap(max_workers=num_workers) as pool:
-            return list(zip(specs, pool.map(run_cell, specs)))
-    return list(zip(specs, SerialMap().map(run_cell, specs)))
+    if num_workers <= 1:
+        return list(zip(specs, SerialMap().map(run_cell, specs)))
+    with ProcessMap(max_workers=num_workers) as pool:
+        return list(zip(specs, pool.map(run_cell, specs)))

@@ -5,22 +5,20 @@ Every ``tableN`` function runs the corresponding experiment and returns a
 the paper plus the paper's published numbers alongside, so the shape —
 which model wins, which knowledge combination is best, whether attention /
 concat / depth help — can be compared directly.
+
+Tables II–V are grids of independent train→evaluate cells (rows ×
+datasets) run by :func:`~repro.experiments.runner.run_cells`:
+``num_workers > 1`` fans the cells across processes with identical results,
+and ``log_dir`` / ``checkpoint_dir`` / ``resume`` give every cell JSONL
+telemetry and resumable checkpoints.
 """
 
 from __future__ import annotations
 
-import pathlib
-from typing import Dict, List, Optional, Tuple, Union
-
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.datasets import BenchmarkDataset, load_dataset
-from repro.experiments.runner import (
-    MODEL_NAMES,
-    CellSpec,
-    RunResult,
-    run_cells,
-    run_single_model,
-)
+from repro.experiments.runner import MODEL_NAMES, CellSpec, PathLike, RunResult, run_cells
 from repro.kg.stats import CKGStats, compute_stats, render_table1
 from repro.kg.subgraphs import KnowledgeSources
 from repro.models.ckat import CKATConfig
@@ -72,18 +70,50 @@ PAPER_TABLE5: Dict[str, Dict[str, Tuple[float, float]]] = {
     "CKAT-3": {"ooi": (0.3217, 0.2561), "gage": (0.3919, 0.3278)},
 }
 
-PathLike = Union[str, pathlib.Path]
+Results = Dict[Tuple[str, str], RunResult]
+# One table row: its label and the CellSpec fields that vary along the rows.
+Row = Tuple[str, dict]
 
 
-def _telemetry_kw(
-    log_dir: Optional[PathLike], checkpoint_dir: Optional[PathLike], resume: bool
-) -> dict:
-    """Per-run telemetry/checkpoint kwargs shared by all table harnesses."""
-    return {
-        "log_dir": pathlib.Path(log_dir) if log_dir else None,
-        "checkpoint_dir": pathlib.Path(checkpoint_dir) if checkpoint_dir else None,
-        "resume": resume,
-    }
+def _run_grid(
+    rows: List[Row], datasets: List[BenchmarkDataset], num_workers: int, **cell
+) -> Results:
+    """Run rows × datasets as cells, keyed by ``(row label, dataset name)``.
+
+    ``cell`` holds the CellSpec fields every cell shares (epochs, seed and
+    the telemetry settings); every cell reseeds from its spec, so the rows
+    do not depend on ``num_workers``.
+    """
+    specs = [
+        CellSpec(label=label, dataset=ds, **row, **cell)
+        for label, row in rows
+        for ds in datasets
+    ]
+    return {(spec.label, spec.dataset.name): r for spec, r in run_cells(specs, num_workers)}
+
+
+def _ckat_table(
+    title: str,
+    header: str,
+    rows: List[Row],
+    paper: Dict[str, Dict[str, Tuple[float, float]]],
+    datasets: Optional[List[BenchmarkDataset]],
+    **run,
+) -> Tuple[Results, str]:
+    """Tables III–V: CKAT variants, measured recall/ndcg beside the paper's recall."""
+    datasets = datasets or [load_dataset("ooi"), load_dataset("gage")]
+    results = _run_grid([(label, dict(row, model="CKAT")) for label, row in rows], datasets, **run)
+    headers = [header]
+    for ds in datasets:
+        headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper"]
+    table = TextTable(headers, title=title)
+    for label, _ in rows:
+        row: List = [label]
+        for ds in datasets:
+            r = results[(label, ds.name)]
+            row += [r.recall, r.ndcg, paper[label][ds.name][0]]
+        table.add_row(row)
+    return results, table.render()
 
 
 # Table-III knowledge-source combinations, in paper row order.
@@ -120,45 +150,19 @@ def table2(
     log_dir: Optional[PathLike] = None,
     checkpoint_dir: Optional[PathLike] = None,
     resume: bool = False,
-) -> Tuple[Dict[Tuple[str, str], RunResult], str]:
-    """Table II: overall performance comparison across all models.
-
-    ``num_workers > 1`` fans the independent (model × dataset) cells across
-    a process pool; every cell reseeds from its spec, so the rows are
-    identical to the serial run.  ``log_dir``/``checkpoint_dir``/``resume``
-    enable per-cell JSONL telemetry and resumable training checkpoints.
-    """
+) -> Tuple[Results, str]:
+    """Table II: overall performance comparison across all models."""
     datasets = datasets or [load_dataset("ooi"), load_dataset("gage")]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        # Workers receive lightweight refs, not pickled datasets; each
-        # worker's process-cached pipeline materializes (or mmap-loads) the
-        # stages once and shares them across its cells.
-        specs = [
-            CellSpec(
-                label=name,
-                model=name,
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for name in models
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.model, r.dataset)] = r
-    else:
-        # The pipeline memoizes the CKG and prepared graph per dataset, so
-        # every model in the loop shares one build.
-        for name in models:
-            for ds in datasets:
-                results[(name, ds.name)] = run_single_model(
-                    name, ds, epochs=epochs, seed=seed, **telemetry
-                )
+    results = _run_grid(
+        [(name, {"model": name}) for name in models],
+        datasets,
+        num_workers,
+        epochs=epochs,
+        seed=seed,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
     headers = ["model"]
     for ds in datasets:
         headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper", f"{ds.name} n@20 paper"]
@@ -196,46 +200,21 @@ def table3(
     log_dir: Optional[PathLike] = None,
     checkpoint_dir: Optional[PathLike] = None,
     resume: bool = False,
-) -> Tuple[Dict[Tuple[str, str], RunResult], str]:
+) -> Tuple[Results, str]:
     """Table III: CKAT under different knowledge-source combinations."""
-    datasets = datasets or [load_dataset("ooi"), load_dataset("gage")]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        specs = [
-            CellSpec(
-                label=label,
-                model="CKAT",
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                sources=sources,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for label, sources in TABLE3_COMBINATIONS
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.label, r.dataset)] = r
-    else:
-        for label, sources in TABLE3_COMBINATIONS:
-            for ds in datasets:
-                results[(label, ds.name)] = run_single_model(
-                    "CKAT", ds, epochs=epochs, seed=seed, sources=sources, label=label, **telemetry
-                )
-    headers = ["knowledge sources"]
-    for ds in datasets:
-        headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper"]
-    table = TextTable(headers, title="Table III: knowledge-source combinations (CKAT)")
-    for label, _ in TABLE3_COMBINATIONS:
-        row: List = [label]
-        for ds in datasets:
-            r = results[(label, ds.name)]
-            row += [r.recall, r.ndcg, PAPER_TABLE3[label][ds.name][0]]
-        table.add_row(row)
-    return results, table.render()
+    return _ckat_table(
+        "Table III: knowledge-source combinations (CKAT)",
+        "knowledge sources",
+        [(label, {"sources": sources}) for label, sources in TABLE3_COMBINATIONS],
+        PAPER_TABLE3,
+        datasets,
+        num_workers=num_workers,
+        epochs=epochs,
+        seed=seed,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
 
 
 def table4(
@@ -246,57 +225,25 @@ def table4(
     log_dir: Optional[PathLike] = None,
     checkpoint_dir: Optional[PathLike] = None,
     resume: bool = False,
-) -> Tuple[Dict[Tuple[str, str], RunResult], str]:
+) -> Tuple[Results, str]:
     """Table IV: attention mechanism and aggregator ablation."""
-    datasets = datasets or [load_dataset("ooi"), load_dataset("gage")]
-    variants = [
-        ("w/ Att + concat", CKATConfig(aggregator="concat", use_attention=True)),
-        ("w/ Att + sum", CKATConfig(aggregator="sum", use_attention=True)),
-        ("w/o Att + concat", CKATConfig(aggregator="concat", use_attention=False)),
-    ]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        specs = [
-            CellSpec(
-                label=label,
-                model="CKAT",
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                ckat_config=cfg,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for label, cfg in variants
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.label, r.dataset)] = r
-    else:
-        for ds in datasets:
-            for label, cfg in variants:
-                results[(label, ds.name)] = run_single_model(
-                    "CKAT",
-                    ds,
-                    epochs=epochs,
-                    seed=seed,
-                    ckat_config=cfg,
-                    label=label,
-                    **telemetry,
-                )
-    headers = ["variant"]
-    for ds in datasets:
-        headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper"]
-    table = TextTable(headers, title="Table IV: attention / aggregator ablation (CKAT)")
-    for label, _ in variants:
-        row: List = [label]
-        for ds in datasets:
-            r = results[(label, ds.name)]
-            row += [r.recall, r.ndcg, PAPER_TABLE4[label][ds.name][0]]
-        table.add_row(row)
-    return results, table.render()
+    return _ckat_table(
+        "Table IV: attention / aggregator ablation (CKAT)",
+        "variant",
+        [
+            ("w/ Att + concat", {"ckat_config": CKATConfig(aggregator="concat", use_attention=True)}),
+            ("w/ Att + sum", {"ckat_config": CKATConfig(aggregator="sum", use_attention=True)}),
+            ("w/o Att + concat", {"ckat_config": CKATConfig(aggregator="concat", use_attention=False)}),
+        ],
+        PAPER_TABLE4,
+        datasets,
+        num_workers=num_workers,
+        epochs=epochs,
+        seed=seed,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
 
 
 def table5(
@@ -307,54 +254,22 @@ def table5(
     log_dir: Optional[PathLike] = None,
     checkpoint_dir: Optional[PathLike] = None,
     resume: bool = False,
-) -> Tuple[Dict[Tuple[str, str], RunResult], str]:
+) -> Tuple[Results, str]:
     """Table V: propagation-layer depth L ∈ {1, 2, 3}."""
-    datasets = datasets or [load_dataset("ooi"), load_dataset("gage")]
-    depths = [
-        ("CKAT-1", CKATConfig(layer_dims=(64,))),
-        ("CKAT-2", CKATConfig(layer_dims=(64, 32))),
-        ("CKAT-3", CKATConfig(layer_dims=(64, 32, 16))),
-    ]
-    results: Dict[Tuple[str, str], RunResult] = {}
-    telemetry = _telemetry_kw(log_dir, checkpoint_dir, resume)
-    if num_workers > 1:
-        specs = [
-            CellSpec(
-                label=label,
-                model="CKAT",
-                dataset=ds.ref(),
-                epochs=epochs,
-                seed=seed,
-                ckat_config=cfg,
-                log_dir=str(log_dir) if log_dir else None,
-                checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-                resume=resume,
-            )
-            for label, cfg in depths
-            for ds in datasets
-        ]
-        for spec, r in run_cells(specs, num_workers=num_workers):
-            results[(spec.label, r.dataset)] = r
-    else:
-        for ds in datasets:
-            for label, cfg in depths:
-                results[(label, ds.name)] = run_single_model(
-                    "CKAT",
-                    ds,
-                    epochs=epochs,
-                    seed=seed,
-                    ckat_config=cfg,
-                    label=label,
-                    **telemetry,
-                )
-    headers = ["depth"]
-    for ds in datasets:
-        headers += [f"{ds.name} r@20", f"{ds.name} n@20", f"{ds.name} r@20 paper"]
-    table = TextTable(headers, title="Table V: embedding propagation depth (CKAT)")
-    for label, _ in depths:
-        row: List = [label]
-        for ds in datasets:
-            r = results[(label, ds.name)]
-            row += [r.recall, r.ndcg, PAPER_TABLE5[label][ds.name][0]]
-        table.add_row(row)
-    return results, table.render()
+    return _ckat_table(
+        "Table V: embedding propagation depth (CKAT)",
+        "depth",
+        [
+            ("CKAT-1", {"ckat_config": CKATConfig(layer_dims=(64,))}),
+            ("CKAT-2", {"ckat_config": CKATConfig(layer_dims=(64, 32))}),
+            ("CKAT-3", {"ckat_config": CKATConfig(layer_dims=(64, 32, 16))}),
+        ],
+        PAPER_TABLE5,
+        datasets,
+        num_workers=num_workers,
+        epochs=epochs,
+        seed=seed,
+        log_dir=log_dir,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )

@@ -75,13 +75,27 @@ def parameter_keys(params: List[Parameter]) -> List[str]:
     return keys
 
 
+def _savez_atomic(path: pathlib.Path, **arrays: np.ndarray) -> pathlib.Path:
+    """``np.savez_compressed`` into a temporary sibling, then rename it over ``path``.
+
+    A write that fails part-way (ENOSPC, an exception while serializing)
+    leaves the previous file byte-identical and removes the temporary file.
+    """
+    tmp = path.with_name(path.name + ".tmp.npz")
+    try:
+        np.savez_compressed(tmp, **arrays)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def save_parameters(path: PathLike, model) -> pathlib.Path:
-    """Save ``model.parameters()`` as compressed npz; returns the path written."""
-    path = normalize_checkpoint_path(path)
+    """Save ``model.parameters()`` as compressed npz, atomically; returns the path written."""
     params = model.parameters()
     arrays = {f"p.{key}": p.data for key, p in zip(parameter_keys(params), params)}
-    np.savez_compressed(path, format=np.array(_FORMAT), **arrays)
-    return path
+    return _savez_atomic(normalize_checkpoint_path(path), format=np.array(_FORMAT), **arrays)
 
 
 def load_parameters(path: PathLike, model) -> None:
@@ -211,12 +225,9 @@ def save_training_checkpoint(path: PathLike, ckpt: TrainingCheckpoint) -> pathli
         "seconds": float(ckpt.seconds),
         "config": ckpt.config,
     }
-    tmp = path.with_name(path.name + ".tmp.npz")
-    np.savez_compressed(
-        tmp, format=np.array(_TRAINING_FORMAT), meta=np.array(json.dumps(meta)), **arrays
+    return _savez_atomic(
+        path, format=np.array(_TRAINING_FORMAT), meta=np.array(json.dumps(meta)), **arrays
     )
-    tmp.replace(path)
-    return path
 
 
 def load_training_checkpoint(path: PathLike) -> TrainingCheckpoint:

@@ -630,16 +630,16 @@ class DatasetPipeline:
         return self._stage("graph", memo_key, config, build, serialize, rehydrate)
 
     # -------------------------------------------------------------- pickling
-    def __getstate__(self):
-        """Pickle the recipe, not the materializations.
+    def __reduce__(self):
+        """Pickle as the recipe's :class:`DatasetRef`, never the materializations.
 
-        Memoized stage objects can hold memory maps and multi-MB arrays;
-        a worker receiving this pipeline rebuilds (or re-loads) them
-        deterministically, so shipping the recipe alone is lossless.
+        Memoized stage objects can hold memory maps and multi-MB arrays.
+        Unpickling resolves the ref through :func:`pipeline_for_ref`, so every
+        cell and shard a worker receives shares one process-cached pipeline
+        (and a :class:`BenchmarkDataset`, which only wraps a pipeline, crosses
+        a process boundary as its ref with no code of its own).
         """
-        state = self.__dict__.copy()
-        state["_memo"] = {}
-        return state
+        return (pipeline_for_ref, (self.ref(),))
 
     # ------------------------------------------------------------- diagnostics
     def describe(self) -> str:

@@ -1,5 +1,7 @@
 """CLI tests: parser wiring and the fast commands end to end."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -59,6 +61,50 @@ class TestCommands:
         path = tmp_path / "ck.npz"
         assert main(["train", "BPRMF", "ooi", "--epochs", "2", "--save", str(path)]) == 0
         assert path.exists()
+
+    def test_train_saves_the_evaluated_model(self, tmp_path, capsys, monkeypatch):
+        """`--save` writes the parameters that produced the printed recall,
+        from the one fit the run made (best-epoch selection on)."""
+        from repro.eval.evaluator import RankingEvaluator
+        from repro.experiments import load_dataset
+        from repro.experiments.runner import build_model
+        from repro.io import load_parameters
+        from repro.models.base import Recommender
+
+        fits = []
+        fit = Recommender.fit
+
+        def counting_fit(model, *args, **kwargs):
+            fits.append(type(model).__name__)
+            return fit(model, *args, **kwargs)
+
+        monkeypatch.setattr(Recommender, "fit", counting_fit)
+        path = tmp_path / "ck.npz"
+        assert main(["train", "BPRMF", "ooi", "--epochs", "20", "--save", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert fits == ["BPRMF"]
+        printed = re.search(r"recall@20=(\d\.\d{4}) ndcg@20=(\d\.\d{4})", out).groups()
+        ds = load_dataset("ooi", scale="small", seed=7)
+        model = build_model("BPRMF", ds, ds.build_ckg(), seed=123)
+        load_parameters(path, model)
+        metrics = RankingEvaluator(ds.split.train, ds.split.test, k=20).evaluate_model(model)
+        assert (f"{metrics.recall:.4f}", f"{metrics.ndcg:.4f}") == printed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recommend", "ooi", "0", "--epochs", "1", "--k", "3"],
+            ["sanitize-run", "BPRMF", "ooi", "--epochs", "1"],
+        ],
+        ids=["recommend", "sanitize-run"],
+    )
+    def test_cache_dir_reaches_the_pipeline(self, tmp_path, capsys, argv):
+        from repro.store import ArtifactStore
+
+        cache = tmp_path / "cache"
+        assert main(["--cache-dir", str(cache)] + argv) == 0
+        kinds = {row.kind for row in ArtifactStore(cache).ls()}
+        assert {"trace", "split", "ckg"} <= kinds
 
     def test_recommend_runs(self, capsys):
         assert main(["recommend", "ooi", "0", "--epochs", "2", "--k", "3"]) == 0

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.datasets import load_dataset
-from repro.experiments.runner import CellSpec, _run_slug, run_cell, run_cells
+from repro.experiments.runner import CellSpec, _run_slug, run_cells
 from repro.experiments.tables import table2
-from repro.parallel.executor import SerialMap
+from repro.pipeline.stages import pipeline_for_ref
 
 
 @pytest.fixture(scope="module")
@@ -27,23 +27,12 @@ class TestCellSpec:
             clone.dataset.split.train.user_ids, small_ooi.split.train.user_ids
         )
 
-    def test_dataset_by_name_equals_dataset_by_bundle(self, small_ooi):
-        by_bundle = run_cell(
-            CellSpec(label="c", model="BPRMF", dataset=small_ooi, epochs=1, seed=3)
-        )
-        by_name = run_cell(
-            CellSpec(
-                label="c",
-                model="BPRMF",
-                dataset="ooi",
-                dataset_scale="small",
-                dataset_seed=7,
-                epochs=1,
-                seed=3,
-            )
-        )
-        assert by_bundle.recall == by_name.recall
-        assert by_bundle.ndcg == by_name.ndcg
+    def test_dataset_unpickles_to_process_cached_pipeline(self, small_ooi):
+        expected = pipeline_for_ref(small_ooi.ref())
+        first = pickle.loads(pickle.dumps(small_ooi))
+        second = pickle.loads(pickle.dumps(small_ooi))
+        assert first.pipeline is expected
+        assert second.pipeline is expected
 
 
 class TestRunCells:
@@ -52,7 +41,7 @@ class TestRunCells:
             CellSpec(label=f"s{seed}", model="BPRMF", dataset=small_ooi, epochs=1, seed=seed)
             for seed in (0, 1)
         ]
-        out = run_cells(specs, executor=SerialMap())
+        out = run_cells(specs)
         assert [spec.label for spec, _ in out] == ["s0", "s1"]
 
     def test_process_fanout_identical_to_serial(self, small_ooi):
@@ -60,7 +49,7 @@ class TestRunCells:
             CellSpec(label="a", model="BPRMF", dataset=small_ooi, epochs=1, seed=0),
             CellSpec(label="b", model="BPRMF", dataset=small_ooi, epochs=1, seed=1),
         ]
-        serial = run_cells(specs, executor=SerialMap())
+        serial = run_cells(specs)
         parallel = run_cells(specs, num_workers=2)
         for (_, s), (_, p) in zip(serial, parallel):
             assert s.recall == p.recall
@@ -69,7 +58,8 @@ class TestRunCells:
 
 
     def test_process_fanout_with_telemetry(self, small_ooi, tmp_path):
-        """Worker processes write per-cell JSONL logs and checkpoints."""
+        """Worker processes write per-cell JSONL logs and checkpoints (the
+        default cadence checkpoints every 10 epochs)."""
         from repro.utils.telemetry import read_run_log
 
         specs = [
@@ -77,11 +67,10 @@ class TestRunCells:
                 label=label,
                 model="BPRMF",
                 dataset=small_ooi,
-                epochs=1,
+                epochs=10,
                 seed=seed,
                 log_dir=str(tmp_path / "logs"),
                 checkpoint_dir=str(tmp_path / "ckpts"),
-                checkpoint_every=1,
             )
             for label, seed in (("a", 0), ("b", 1))
         ]
@@ -89,7 +78,7 @@ class TestRunCells:
         for label in ("a", "b"):
             slug = _run_slug(label, "ooi")
             events = read_run_log(tmp_path / "logs" / f"{slug}.jsonl")
-            assert [e["event"] for e in events].count("epoch") == 1
+            assert [e["event"] for e in events].count("epoch") == 10
             assert (tmp_path / "ckpts" / f"{slug}.ckpt.npz").exists()
 
 

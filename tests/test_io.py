@@ -1,5 +1,8 @@
 """Persistence tests: model checkpoints."""
 
+import errno
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,23 @@ class TestCheckpointIO:
         np.savez(path, a=np.zeros(2))
         with pytest.raises(ValueError, match="checkpoint"):
             load_parameters(path, BPRMF(3, 3, dim=2))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        model = BPRMF(10, 20, dim=8, seed=0)
+        path = save_parameters(tmp_path / "model.npz", model)
+        before = path.read_bytes()
+
+        def write_then_fail(file, **arrays):
+            pathlib.Path(file).write_bytes(before[: len(before) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", write_then_fail)
+        for p in model.parameters():
+            p.data += 1.0
+        with pytest.raises(OSError):
+            save_parameters(path, model)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_parameter_keys_unique(self):
         from repro.autograd import Parameter

@@ -156,13 +156,15 @@ class TestRefs:
         b = pipeline_for_ref(DatasetRef("ooi", scale="small", seed=8))
         assert a is not b
 
-    def test_pipeline_pickle_drops_memo(self, tmp_path):
+    def test_pipeline_pickles_as_its_ref(self, tmp_path):
         pipe = _pipe(cache_dir=tmp_path)
         pipe.split()
-        clone = pickle.loads(pickle.dumps(pipe))
-        assert clone._memo == {}
-        assert clone.name == pipe.name and clone.seed == pipe.seed
-        # and the clone still resolves the same keys
+        payload = pickle.dumps(pipe)
+        # the recipe travels, not the memoized arrays
+        assert len(payload) < 1024
+        clone = pickle.loads(payload)
+        assert clone is pipeline_for_ref(pipe.ref())
+        assert clone.ref() == pipe.ref()
         assert clone.stage_key("split") == pipe.stage_key("split")
 
     def test_invalid_recipe_rejected(self):
